@@ -9,13 +9,23 @@ Parallel edges are allowed; node ids are opaque strings, unique across the
 whole program.  Variable orders are permutations pi of [n] stored as image
 lists: pi(i) is the rank of x_i, and the induced variable sequence is
 x_{pi^-1(1)}, ..., x_{pi^-1(n)}.
+
+Layer l holds the edges leaving level l, the index check_oblivious reports;
+each level-by-level walk here and in transforms groups edges into layers once
+per call (``_layers``).  ``_sweep``, the one dynamic-programming loop, carries
+a value from a start node layer by layer to a stop level: along the edges if
+that level is later, against them if earlier.  Each edge passes
+``transfer(value, label)`` from its near to its far end (None drops it);
+contributions meeting at a node combine by ``add(old, new)``; ``each_level``
+sees each level reached.  It returns the stop level's values by node, with
+no entry for a node that nothing reaches.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .errors import BudgetError, StructureError
 from .fields import Field
@@ -218,13 +228,60 @@ def stats(a: Abp) -> AbpStats:
     )
 
 
-def _in_edges_by_level(a: Abp) -> list[list[Edge]]:
-    """Edges grouped by the level of their destination (index = dst level)."""
+def _layers(a: Abp) -> list[list[Edge]]:
+    """The edges of each layer, in a.edges order; the walks need every edge
+    to join consecutive levels, so others are rejected."""
     node_lv = a.node_levels()
-    out: list[list[Edge]] = [[] for _ in a.levels]
+    layers: list[list[Edge]] = [[] for _ in range(a.depth)]
     for e in a.edges:
-        out[node_lv[e.dst]].append(e)
-    return out
+        lvl = node_lv[e.src]
+        if node_lv[e.dst] != lvl + 1:
+            raise StructureError(f"edge {e.src!r}->{e.dst!r} skips or leaves the levels")
+        layers[lvl].append(e)
+    return layers
+
+
+def _sweep(
+    layers: list[list[Edge]], start: str, value: Any, start_level: int, stop_level: int,
+    transfer: Callable, add: Callable, each_level: Callable | None = None,
+) -> dict[str, Any]:
+    """Values at stop_level of the paths from start; see the module docstring."""
+    forward = stop_level >= start_level
+    # edges between levels l and l + 1 sit in layer l, whichever way the walk goes
+    steps = range(start_level, stop_level) if forward else range(start_level - 1, stop_level - 1, -1)
+    vals: dict[str, Any] = {start: value}
+    for lvl in steps:
+        nxt: dict[str, Any] = {}
+        for e in layers[lvl]:
+            if forward:
+                near, far = e.src, e.dst
+            else:
+                near, far = e.dst, e.src
+            v = vals.get(near)
+            if v is None:
+                continue
+            c = transfer(v, e.label)
+            if c is None:
+                continue
+            old = nxt.get(far)
+            nxt[far] = c if old is None else add(old, c)
+        vals = nxt
+        if each_level is not None:
+            each_level(lvl + 1 if forward else lvl, vals)
+    return vals
+
+
+def _poly_transfer(f: Field, budget: int | None) -> Callable:
+    """Sweep transfer on polynomials: multiply by the edge label."""
+
+    def transfer(p: SparsePoly, label):
+        if p.is_zero:
+            return None
+        if isinstance(label, VarLabel):
+            return p.mul(SparsePoly.variable(f, label.index), budget=budget)
+        return p.scale(label.value)
+
+    return transfer
 
 
 def check_order(a: Abp, pi: Permutation) -> bool:
@@ -238,9 +295,8 @@ def check_order(a: Abp, pi: Permutation) -> bool:
             f"order over {pi.n} variables, program has {a.num_vars}"
         )
     maxrank: dict[str, int] = {node: 0 for lvl in a.levels for node in lvl}
-    by_level = _in_edges_by_level(a)
-    for lvl_edges in by_level[1:]:
-        for e in lvl_edges:
+    for layer in _layers(a):
+        for e in layer:
             base = maxrank[e.src]
             if isinstance(e.label, VarLabel):
                 r = pi.rank(e.label.index)
@@ -265,10 +321,8 @@ def infer_order(a: Abp) -> Permutation | None:
         node: frozenset() for lvl in a.levels for node in lvl
     }
     constraints: set[tuple[int, int]] = set()
-    by_level = _in_edges_by_level(a)
-    for lvl_edges in by_level[1:]:
-        staged: dict[str, frozenset[int]] = {}
-        for e in lvl_edges:
+    for layer in _layers(a):
+        for e in layer:
             carried = before[e.src]
             if isinstance(e.label, VarLabel):
                 j = e.label.index
@@ -277,9 +331,7 @@ def infer_order(a: Abp) -> Permutation | None:
                         return None  # repeated variable on a path
                     constraints.add((i, j))
                 carried = carried | {j}
-            staged[e.dst] = staged.get(e.dst, frozenset()) | carried
-        for node, s in staged.items():
-            before[node] = before[node] | s
+            before[e.dst] = before[e.dst] | carried
     # Kahn's algorithm with a min-heap for a deterministic result
     n = a.num_vars
     succs: dict[int, set[int]] = {i: set() for i in range(1, n + 1)}
@@ -309,6 +361,21 @@ def infer_order(a: Abp) -> Permutation | None:
     return pi
 
 
+def resolve_order(a: Abp, pi: Permutation | None = None) -> Permutation:
+    """The order a verdict may rely on, checked against the program.
+
+    Takes pi, else the declared order, else an inferred one, and raises
+    StructureError when there is none or the program does not respect it.
+    """
+    if pi is None:
+        pi = a.order if a.order is not None else infer_order(a)
+    if pi is None:
+        raise StructureError("program respects no variable order")
+    if not check_order(a, pi):
+        raise StructureError(f"program does not respect the order {list(pi.variable_sequence())}")
+    return pi
+
+
 @dataclass(frozen=True)
 class ObliviousnessReport:
     ok: bool
@@ -318,20 +385,19 @@ class ObliviousnessReport:
 
 def check_oblivious(a: Abp) -> ObliviousnessReport:
     """Each layer may use at most one distinct variable across its edges."""
-    node_lv = a.node_levels()
     layer_vars: list[int | None] = [None] * a.depth
-    for e in a.edges:
-        if isinstance(e.label, VarLabel):
-            layer = node_lv[e.src]
-            known = layer_vars[layer]
-            if known is None:
-                layer_vars[layer] = e.label.index
-            elif known != e.label.index:
-                return ObliviousnessReport(
-                    False,
-                    tuple(layer_vars),
-                    f"layer {layer} mixes x_{known} and x_{e.label.index}",
-                )
+    for layer, edges in enumerate(_layers(a)):
+        for e in edges:
+            if isinstance(e.label, VarLabel):
+                known = layer_vars[layer]
+                if known is None:
+                    layer_vars[layer] = e.label.index
+                elif known != e.label.index:
+                    return ObliviousnessReport(
+                        False,
+                        tuple(layer_vars),
+                        f"layer {layer} mixes x_{known} and x_{e.label.index}",
+                    )
     return ObliviousnessReport(True, tuple(layer_vars))
 
 
@@ -342,22 +408,17 @@ def evaluate(a: Abp, point: Sequence[Any]):
             f"point has {len(point)} coordinates, program has {a.num_vars} variables"
         )
     f = a.field
-    vals: dict[str, Any] = {a.source: f.one()}
-    zero = f.zero()
-    by_level = _in_edges_by_level(a)
-    for lvl_index in range(1, len(a.levels)):
-        for node in a.levels[lvl_index]:
-            vals.setdefault(node, zero)
-        for e in by_level[lvl_index]:
-            src_val = vals.get(e.src, zero)
-            if src_val == zero:
-                continue
-            if isinstance(e.label, VarLabel):
-                w = point[e.label.index - 1]
-            else:
-                w = e.label.value
-            vals[e.dst] = f.add(vals[e.dst], f.mul(src_val, w))
-    return vals[a.sink]
+    zero, mul = f.zero(), f.mul
+
+    def transfer(v, label):
+        if v == zero:
+            return None
+        if isinstance(label, VarLabel):
+            return mul(v, point[label.index - 1])
+        return mul(v, label.value)
+
+    vals = _sweep(_layers(a), a.source, f.one(), 0, a.depth, transfer, f.add)
+    return vals.get(a.sink, zero)
 
 
 def expand(a: Abp, budget: int | None = DEFAULT_TERM_BUDGET) -> SparsePoly:
@@ -368,30 +429,20 @@ def expand(a: Abp, budget: int | None = DEFAULT_TERM_BUDGET) -> SparsePoly:
     of truncating.
     """
     f = a.field
-    polys: dict[str, SparsePoly] = {a.source: SparsePoly.const(f, f.one())}
-    by_level = _in_edges_by_level(a)
-    for lvl_index in range(1, len(a.levels)):
-        nxt: dict[str, SparsePoly] = {node: SparsePoly.zero(f) for node in a.levels[lvl_index]}
-        for e in by_level[lvl_index]:
-            src_poly = polys.get(e.src)
-            if src_poly is None or src_poly.is_zero:
-                continue
-            if isinstance(e.label, VarLabel):
-                contrib = src_poly.mul(
-                    SparsePoly.variable(f, e.label.index), budget=budget
-                )
-            else:
-                contrib = src_poly.scale(e.label.value)
-            nxt[e.dst] = nxt[e.dst].add(contrib)
-        polys.update(nxt)
-        if budget is not None:
-            live = sum(p.num_terms for p in nxt.values())
-            if live > budget:
-                raise BudgetError(
-                    f"expansion holds {live} terms at level {lvl_index}, "
-                    f"budget is {budget}"
-                )
-    return polys[a.sink]
+
+    def check_budget(lvl_index: int, polys: dict[str, SparsePoly]) -> None:
+        live = sum(p.num_terms for p in polys.values())
+        if live > budget:
+            raise BudgetError(
+                f"expansion holds {live} terms at level {lvl_index}, "
+                f"budget is {budget}"
+            )
+
+    polys = _sweep(
+        _layers(a), a.source, SparsePoly.const(f, f.one()), 0, a.depth,
+        _poly_transfer(f, budget), SparsePoly.add, None if budget is None else check_budget,
+    )
+    return polys.get(a.sink, SparsePoly.zero(f))
 
 
 def restrict(a: Abp, assignment: Mapping[int, Any]) -> Abp:
@@ -425,16 +476,15 @@ def prune(a: Abp) -> Abp:
     If nothing connects source to sink the canonical zero program is
     returned (the polynomial is the empty sum either way).
     """
+    layers = _layers(a)
     fwd: set[str] = {a.source}
-    node_lv = a.node_levels()
-    by_dst_level = _in_edges_by_level(a)
-    for lvl_index in range(1, len(a.levels)):
-        for e in by_dst_level[lvl_index]:
+    for layer in layers:
+        for e in layer:
             if e.src in fwd:
                 fwd.add(e.dst)
     bwd: set[str] = {a.sink}
-    for lvl_index in range(len(a.levels) - 1, 0, -1):
-        for e in by_dst_level[lvl_index]:
+    for layer in reversed(layers):
+        for e in layer:
             if e.dst in bwd:
                 bwd.add(e.src)
     keep = fwd & bwd

@@ -413,7 +413,6 @@ def cmd_pit(args, cfg: CliConfig, emitter: _Emitter) -> int:
     opts = PitOptions(
         grid_budget=args.grid_budget or cfg.grid_budget,
         term_budget=args.term_budget or cfg.term_budget,
-        component_bound_grid=args.component_bound_grid,
         extension_cap=cfg.extension_cap,
         trials=args.trials,
         seed=args.seed if args.seed is not None else cfg.seed,
@@ -615,12 +614,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", help="override the variable order")
     p.add_argument("--grid-budget", type=int, dest="grid_budget")
     p.add_argument("--term-budget", type=int, dest="term_budget")
-    p.add_argument(
-        "--component-bound-grid",
-        action="store_true",
-        dest="component_bound_grid",
-        help="use the smaller per-component degree bound for the grid",
-    )
     p.add_argument("--trials", type=int, default=20, help="samples in random mode")
     p.add_argument("--seed", type=int, help="seed in random mode")
 

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Any, Callable
 
-from .abp import Abp, Permutation, check_order, expand, infer_order, lift_constants
+from .abp import Abp, Permutation, expand, lift_constants, resolve_order
 from .errors import BudgetError, FieldError, StructureError
 from .fields import (
     ExtensionField,
@@ -47,10 +47,6 @@ DEFAULT_SAMPLE_SPACE = 100
 class PitOptions:
     grid_budget: int = DEFAULT_GRID_BUDGET
     term_budget: int = DEFAULT_TERM_BUDGET
-    # use the per-component degree bound for the grid instead of the safe
-    # composition bound; kept as a switch because the smaller grid is not
-    # backed by the final-degree argument
-    component_bound_grid: bool = False
     auto_extend: bool = True
     extension_cap: int = 32
     trials: int = 20
@@ -103,12 +99,17 @@ def ensure_field(field: Field, needed: int, opts: PitOptions) -> Field:
 
 
 def seed_grid_size(n: int, r: int, opts: PitOptions) -> tuple[int, int, int]:
-    """(k, points per coordinate, total grid size) for the hitset grid."""
+    """(k, points per coordinate, total grid size) for the hitset grid, sized
+    by the composition degree bound; BudgetError if over opts.grid_budget."""
     k = level_for(n)
-    bounds = degree_bounds(k, r)
-    g = bounds.component_bound if opts.component_bound_grid else bounds.composition_bound
-    per_coord = g + 1
-    total = per_coord ** seed_count(k, r)
+    per_coord = degree_bounds(k, r).composition_bound + 1
+    m = seed_count(k, r)
+    total = per_coord**m
+    if total > opts.grid_budget:
+        raise BudgetError(
+            f"hitset grid needs {per_coord}^{m} = {total} points, "
+            f"budget is {opts.grid_budget}; compose mode avoids the grid"
+        )
     return k, per_coord, total
 
 
@@ -133,12 +134,7 @@ def hitset_test(
         pi = Permutation.identity(n)
     if pi.n != n:
         raise StructureError(f"order over {pi.n} variables, oracle has {n}")
-    k, per_coord, total = seed_grid_size(n, r, opts)
-    if total > opts.grid_budget:
-        raise BudgetError(
-            f"hitset grid needs {per_coord}^{seed_count(k, r)} = {total} points, "
-            f"budget is {opts.grid_budget}; compose mode avoids the grid"
-        )
+    k, per_coord, _total = seed_grid_size(n, r, opts)
     work_field = ensure_field(field, max(points_needed(k, r), per_coord), opts)
     note = None
     if work_field is not field:
@@ -179,16 +175,12 @@ def _embed_poly(p: SparsePoly, new_field: Field, embed) -> SparsePoly:
 def compose_test(a: Abp, r: int, opts: PitOptions | None = None) -> PitVerdict:
     """Exact reference test: is the generator composition the zero polynomial?
 
-    Runs the full pipeline: reshape the program oblivious (a no-op on the
-    polynomial, but it re-validates the order), expand exactly, substitute
-    the generator components by rank, and inspect the result.
+    Runs the full pipeline: resolve and check the variable order, reshape
+    the program oblivious (a no-op on the polynomial), expand exactly,
+    substitute the generator components by rank, and inspect the result.
     """
     opts = opts or PitOptions()
-    pi = a.order if a.order is not None else infer_order(a)
-    if pi is None:
-        raise StructureError("program respects no variable order")
-    if not check_order(a, pi):
-        raise StructureError("program does not respect its declared order")
+    pi = resolve_order(a)
     n = a.num_vars
     k = level_for(n)
     oblivious = obliviate(a, pi)
@@ -254,14 +246,13 @@ def abp_oracle(a: Abp, over: Field | None = None) -> Callable[[tuple], Any]:
 def hitset_test_abp(a: Abp, r: int, opts: PitOptions | None = None) -> PitVerdict:
     """Hitset test driven by a program's own evaluation oracle.
 
-    Resolves the variable order, picks the working field (extending the
-    program's field when it is too small), lifts the program's constants if
-    needed, and hands the matching oracle to hitset_test.
+    Resolves and checks the variable order, sizes the grid, picks the
+    working field (extending the program's field when it is too small),
+    lifts the program's constants if needed, and hands the matching oracle
+    to hitset_test.
     """
     opts = opts or PitOptions()
-    pi = a.order if a.order is not None else infer_order(a)
-    if pi is None:
-        raise StructureError("program respects no variable order")
+    pi = resolve_order(a)
     n = a.num_vars
     k, per_coord, _total = seed_grid_size(n, r, opts)
     work_field = ensure_field(a.field, max(points_needed(k, r), per_coord), opts)

@@ -21,12 +21,14 @@ from .abp import (
     Edge,
     Permutation,
     VarLabel,
+    _layers,
+    _poly_transfer,
+    _sweep,
     check_oblivious,
-    check_order,
-    expand,
-    infer_order,
+    expand,  # noqa: F401 - a lookup site the benchmark tracer wraps
     prune,
     require_valid,
+    resolve_order,
     zero_abp,
 )
 from .errors import StructureError
@@ -34,30 +36,23 @@ from .linalg import SpanBuilder
 from .poly import SparsePoly, mono_sort_key
 
 
-def _resolve_order(a: Abp, pi: Permutation | None) -> Permutation:
-    if pi is None:
-        pi = a.order if a.order is not None else infer_order(a)
-    if pi is None:
-        raise StructureError("program respects no variable order")
-    if not check_order(a, pi):
-        raise StructureError("program does not respect the given order")
-    return pi
-
-
-def _const_path_weights(a: Abp, start: str, start_level: int) -> dict[str, Any]:
+def _const_path_weights(
+    a: Abp, layers: list[list[Edge]], start: str, start_level: int
+) -> dict[str, Any]:
     """Weights of constant-only paths from start to every later node."""
     f = a.field
-    zero = f.zero()
-    node_lv = a.node_levels()
+    zero, mul = f.zero(), f.mul
+
+    def transfer(w, label):
+        if w == zero or isinstance(label, VarLabel):
+            return None
+        return mul(w, label.value)
+
     weights: dict[str, Any] = {start: f.one()}
-    for lvl in range(start_level, len(a.levels) - 1):
-        for e in a.edges:
-            if node_lv[e.src] == lvl and isinstance(e.label, ConstLabel):
-                w = weights.get(e.src, zero)
-                if w == zero:
-                    continue
-                prev = weights.get(e.dst, zero)
-                weights[e.dst] = f.add(prev, f.mul(w, e.label.value))
+    _sweep(
+        layers, start, f.one(), start_level, a.depth, transfer, f.add,
+        lambda _lvl, vals: weights.update(vals),
+    )
     return weights
 
 
@@ -78,23 +73,24 @@ def obliviate(a: Abp, pi: Permutation | None = None) -> Abp:
     the result if compactness matters more than exact read counts.
     """
     require_valid(a)
-    pi = _resolve_order(a, pi)
+    pi = resolve_order(a, pi)
     f = a.field
     zero = f.zero()
     n = a.num_vars
-    node_lv = a.node_levels()
+    layers = _layers(a)
     nodes = [node for lvl in a.levels for node in lvl]
 
     # constant-only weights from the source and from every variable-edge target
     const_from: dict[str, dict[str, Any]] = {
-        a.source: _const_path_weights(a, a.source, 0)
+        a.source: _const_path_weights(a, layers, a.source, 0)
     }
     var_edges_by_rank: dict[int, list[Edge]] = {}
-    for e in a.edges:
-        if isinstance(e.label, VarLabel):
-            var_edges_by_rank.setdefault(pi.rank(e.label.index), []).append(e)
-            if e.dst not in const_from:
-                const_from[e.dst] = _const_path_weights(a, e.dst, node_lv[e.dst])
+    for lvl, layer in enumerate(layers):
+        for e in layer:
+            if isinstance(e.label, VarLabel):
+                var_edges_by_rank.setdefault(pi.rank(e.label.index), []).append(e)
+                if e.dst not in const_from:
+                    const_from[e.dst] = _const_path_weights(a, layers, e.dst, lvl + 1)
 
     # ":" never occurs in the rank digits, so these names cannot collide
     # across distinct (kind, rank, node) triples whatever the input names.
@@ -171,18 +167,13 @@ def derivative_abp(a: Abp, i: int) -> Abp:
             f"x_{i} is read in layers {layers}; single-layer reads required"
         )
     layer = layers[0]
-    node_lv = a.node_levels()
-    one = a.field.one()
-    new_edges = []
-    for e in a.edges:
-        if node_lv[e.src] == layer:
-            if isinstance(e.label, VarLabel):
-                if e.label.index != i:  # pragma: no cover - oblivious rules this out
-                    raise StructureError("mixed layer")
-                new_edges.append(Edge(e.src, e.dst, ConstLabel(one)))
-            # constant edges in the x_i layer are dropped
-        else:
-            new_edges.append(e)
+    grouped = _layers(a)
+    one = ConstLabel(a.field.one())
+    # the x_i edges become constant 1; the constant edges beside them go
+    grouped[layer] = [
+        Edge(e.src, e.dst, one) for e in grouped[layer] if isinstance(e.label, VarLabel)
+    ]
+    new_edges = [e for edges in grouped for e in edges]
     return prune(Abp(a.field, a.num_vars, a.levels, tuple(new_edges), a.order))
 
 
@@ -220,49 +211,23 @@ def cut_decompose(a: Abp, level: int) -> Decomposition:
         raise StructureError(
             f"cut level must be interior (1..{len(a.levels) - 2}), got {level}"
         )
-    node_lv = a.node_levels()
+    layers = _layers(a)
     before_vars = set()
     after_vars = set()
-    for e in a.edges:
-        if isinstance(e.label, VarLabel):
-            if node_lv[e.src] < level:
-                before_vars.add(e.label.index)
-            else:
-                after_vars.add(e.label.index)
+    for lvl, edges in enumerate(layers):
+        for e in edges:
+            if isinstance(e.label, VarLabel):
+                (before_vars if lvl < level else after_vars).add(e.label.index)
     shared = before_vars & after_vars
     if shared:
         raise StructureError(
             f"cut at level {level} splits variable reads: {sorted(shared)}"
         )
     f = a.field
-    fwd: dict[str, SparsePoly] = {a.source: SparsePoly.const(f, f.one())}
-    for lvl_index in range(1, level + 1):
-        for node in a.levels[lvl_index]:
-            fwd.setdefault(node, SparsePoly.zero(f))
-        for e in a.edges:
-            if node_lv[e.dst] == lvl_index:
-                src_poly = fwd.get(e.src)
-                if src_poly is None or src_poly.is_zero:
-                    continue
-                if isinstance(e.label, VarLabel):
-                    contrib = src_poly.mul(SparsePoly.variable(f, e.label.index))
-                else:
-                    contrib = src_poly.scale(e.label.value)
-                fwd[e.dst] = fwd[e.dst].add(contrib)
-    bwd: dict[str, SparsePoly] = {a.sink: SparsePoly.const(f, f.one())}
-    for lvl_index in range(len(a.levels) - 2, level - 1, -1):
-        for node in a.levels[lvl_index]:
-            bwd.setdefault(node, SparsePoly.zero(f))
-        for e in a.edges:
-            if node_lv[e.src] == lvl_index:
-                dst_poly = bwd.get(e.dst)
-                if dst_poly is None or dst_poly.is_zero:
-                    continue
-                if isinstance(e.label, VarLabel):
-                    contrib = dst_poly.mul(SparsePoly.variable(f, e.label.index))
-                else:
-                    contrib = dst_poly.scale(e.label.value)
-                bwd[e.src] = bwd[e.src].add(contrib)
+    one = SparsePoly.const(f, f.one())
+    transfer = _poly_transfer(f, None)
+    fwd = _sweep(layers, a.source, one, 0, level, transfer, SparsePoly.add)
+    bwd = _sweep(layers, a.sink, one, a.depth, level, transfer, SparsePoly.add)
     left = [fwd.get(node, SparsePoly.zero(f)) for node in a.levels[level]]
     right = [bwd.get(node, SparsePoly.zero(f)) for node in a.levels[level]]
     return Decomposition(left, right, cut_level=level)

@@ -201,6 +201,13 @@ def test_evaluate_arity_check():
         evaluate(two_path(), (Fraction(1),))
 
 
+def test_layer_walks_reject_an_edge_that_skips_a_level():
+    a = make_abp(Q, 1, [["s"], ["m"], ["t"]], [("s", "t", VarLabel(1))])
+    for walk in (lambda: evaluate(a, (Fraction(1),)), lambda: expand(a), lambda: prune(a)):
+        with pytest.raises(StructureError, match="skips or leaves the levels"):
+            walk()
+
+
 def test_expand_two_path():
     p = expand(two_path())
     x1 = SparsePoly.variable(Q, 1)

@@ -157,17 +157,14 @@ def test_pit_zero_program(capsys, fixtures_dir):
     assert out.startswith("ZERO (mode=hitset, queries=243)")
 
 
-def test_pit_component_bound_grid(capsys, fixtures_dir):
-    code, out, _ = run(
-        capsys,
-        "pit",
-        fixtures_dir / "x1x2.abp.json",
-        "--read",
-        "1",
-        "--component-bound-grid",
-    )
-    assert code == 0
-    assert out == "NONZERO (mode=hitset, queries=11)\nwitness: (1, 1)\n"
+def test_pit_wrong_order_refused_in_both_exact_modes(capsys, fixtures_dir):
+    runs = [
+        run(capsys, "pit", fixtures_dir / "x1x2.abp.json", "--read", "1", "--order", "2,1",
+            "--mode", mode)
+        for mode in ("hitset", "compose")
+    ]
+    assert runs[0] == runs[1]
+    assert runs[0] == (2, "", "error: program does not respect the order [2, 1]\n")
 
 
 def test_pit_grid_budget_exceeded(capsys, fixtures_dir):

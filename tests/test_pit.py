@@ -1,5 +1,6 @@
 """Identity testing: hitset grid, exact composition, random probing."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -63,7 +64,18 @@ def test_level_for():
 
 def test_seed_grid_size_default_and_component_bound():
     assert seed_grid_size(2, 1, PitOptions()) == (1, 3, 243)
-    assert seed_grid_size(2, 1, PitOptions(component_bound_grid=True)) == (1, 2, 32)
+    with pytest.raises(BudgetError, match="compose mode avoids the grid"):
+        seed_grid_size(2, 1, PitOptions(grid_budget=242))
+
+
+def test_hitset_and_compose_refuse_a_wrong_order_alike():
+    wrong = replace(x1x2(), order=Permutation.from_sequence([2, 1]))
+    messages = []
+    for test in (hitset_test_abp, compose_test):
+        with pytest.raises(StructureError) as info:
+            test(wrong, 1)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1] == "program does not respect the order [2, 1]"
 
 
 # frozen run: x1*x2 over the rationals, read bound 1
@@ -98,18 +110,13 @@ def test_hitset_zero_exhausts_grid():
     assert v.queries == 243
 
 
-def test_hitset_component_bound_grid_frozen():
-    opts = PitOptions(component_bound_grid=True)
-    v = hitset_test(abp_oracle(x1x2()), 2, 1, Q, opts=opts)
-    assert v.verdict == "NONZERO"
-    assert v.queries == 11
-    assert v.witness == (Fraction(1), Fraction(1))
-
-
 def test_hitset_grid_budget_error_mentions_compose():
     with pytest.raises(BudgetError) as info:
         hitset_test(abp_oracle(x1x2()), 2, 1, Q, opts=PitOptions(grid_budget=100))
     assert "compose" in str(info.value)
+    # the grid is sized before a working field is chosen, so F2 is never extended
+    with pytest.raises(BudgetError):
+        hitset_test_abp(x1x2(prime_field(2)), 1, PitOptions(grid_budget=100, auto_extend=False))
 
 
 def test_hitset_rejects_order_arity_mismatch():

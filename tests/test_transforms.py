@@ -1,5 +1,6 @@
 """Obliviation, derivatives, cut decomposition, independence reduction."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -7,12 +8,16 @@ import pytest
 from oabp.abp import (
     Abp,
     ConstLabel,
+    Edge,
     Permutation,
     VarLabel,
     check_oblivious,
     check_order,
+    evaluate,
     expand,
+    infer_order,
     make_abp,
+    prune,
     stats,
 )
 from oabp.corpus import standard_corpus
@@ -251,3 +256,43 @@ def test_reduce_rejects_zero_sum():
     assert pair_sum(dec).is_zero
     with pytest.raises(StructureError):
         reduce_independent(dec)
+
+
+# -- edge order -----------------------------------------------------------------
+
+
+def renamed_reversed(a):
+    """The same program with fresh node names and its edge list reversed."""
+    nodes = [v for lvl in a.levels for v in lvl]
+    name = {v: f"v{len(nodes) - i}" for i, v in enumerate(nodes)}
+    return Abp(
+        a.field,
+        a.num_vars,
+        tuple(tuple(name[v] for v in lvl) for lvl in a.levels),
+        tuple(Edge(name[e.src], name[e.dst], e.label) for e in reversed(a.edges)),
+        a.order,
+    )
+
+
+def test_results_do_not_depend_on_edge_order():
+    for member in standard_corpus()[::5]:
+        a = member.abp
+        b = renamed_reversed(a)
+        point = tuple(Fraction(i + 2, 2 * i + 3) for i in range(a.num_vars))
+        assert evaluate(b, point) == evaluate(a, point), member.name
+        assert expand(b) == expand(a), member.name
+        assert expand(prune(b)) == expand(prune(a)), member.name
+        pi = infer_order(replace(a, order=None))
+        assert infer_order(replace(b, order=None)) == pi, member.name
+        assert check_order(b, pi) and check_order(b, a.order), member.name
+        ob, oa = obliviate(b), obliviate(a)
+        assert expand(ob) == expand(oa), member.name
+        assert stats(ob).reads == stats(oa).reads, member.name
+        for level in range(1, a.depth):
+            try:
+                want = pair_sum(cut_decompose(a, level))
+            except StructureError:  # the cut does not separate the reads
+                with pytest.raises(StructureError):
+                    cut_decompose(b, level)
+                continue
+            assert pair_sum(cut_decompose(b, level)) == want, (member.name, level)
