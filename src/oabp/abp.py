@@ -385,8 +385,13 @@ class ObliviousnessReport:
 
 def check_oblivious(a: Abp) -> ObliviousnessReport:
     """Each layer may use at most one distinct variable across its edges."""
-    layer_vars: list[int | None] = [None] * a.depth
-    for layer, edges in enumerate(_layers(a)):
+    return _oblivious_report(_layers(a))
+
+
+def _oblivious_report(layers: list[list[Edge]]) -> ObliviousnessReport:
+    """check_oblivious on a grouping _layers already made."""
+    layer_vars: list[int | None] = [None] * len(layers)
+    for layer, edges in enumerate(layers):
         for e in edges:
             if isinstance(e.label, VarLabel):
                 known = layer_vars[layer]

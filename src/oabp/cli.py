@@ -17,9 +17,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, fields as dc_fields
-from fractions import Fraction
 from pathlib import Path
-from typing import Any
 
 from .abp import (
     Abp,
@@ -176,17 +174,6 @@ def _parse_point(field: Field, text: str, n: int) -> tuple:
     return tuple(field.element_from_text(tok.strip()) for tok in parts)
 
 
-def _json_ready(value: Any) -> Any:
-    """Recursively convert field elements and tuples for json.dumps."""
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, (tuple, list)):
-        return [_json_ready(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _json_ready(v) for k, v in value.items()}
-    return value
-
-
 class _Emitter:
     """Routes results either as human lines or as one canonical JSON blob."""
 
@@ -195,7 +182,7 @@ class _Emitter:
 
     def emit(self, payload: dict, lines: list[str]) -> None:
         if self.json_mode:
-            print(json.dumps(_json_ready(payload), sort_keys=True, indent=1))
+            print(json.dumps(payload, sort_keys=True, indent=1))
         else:
             for line in lines:
                 print(line)
@@ -386,13 +373,6 @@ def cmd_gen(args, cfg: CliConfig, emitter: _Emitter) -> int:
     return 0
 
 
-def _element_text(x) -> str:
-    # extension elements are coefficient tuples; everything else prints as-is
-    if isinstance(x, tuple):
-        return ":".join(str(c) for c in x)
-    return str(x)
-
-
 def _witness_views(verdict):
     """(json value, display text) for a verdict's witness, if any."""
     w = verdict.witness
@@ -401,8 +381,9 @@ def _witness_views(verdict):
     if verdict.mode == "compose":
         text = "*".join(v if e == 1 else f"{v}^{e}" for v, e in w)
         return [[v, e] for v, e in w], text
-    text = "(" + ", ".join(_element_text(x) for x in w) + ")"
-    return [_json_ready(x) for x in w], text
+    field = verdict.field
+    text = "(" + ", ".join(field.element_to_text(x) for x in w) + ")"
+    return [field.element_to_json(x) for x in w], text
 
 
 def cmd_pit(args, cfg: CliConfig, emitter: _Emitter) -> int:

@@ -1,27 +1,39 @@
 """Black-box zero testing for ordered branching programs.
 
+The hitting set covers pi-ordered programs of read r: every path reads its
+variables in the order pi, and no variable labels more than r edges.  A ZERO
+verdict is sound only when both promises hold.  Both exact modes therefore
+pass a program through one gate, ``_working_program``: it resolves and
+checks the order, refuses a program that reads a variable more than r
+times, sizes the hitset grid, and picks the working field, lifting the
+program's constants into the smallest extension with enough points when its
+own field is too small.
+Either refusal is the same StructureError in both modes.
+
 Three modes:
 
-* hitset_test: deterministic.  Evaluates the oracle on the image of the
-  level-k generator over a small grid of seed values; a read-r ordered
+* hitset_test_abp: deterministic.  Evaluates the program on the image of
+  the level-k generator over a small grid of seed values; a read-r ordered
   program of n <= 2^k variables vanishes on all grid points iff it is zero.
+  hitset_test runs the same grid on a bare oracle, which it cannot inspect,
+  so it trusts its caller's order and read promises.
 * compose_test: exact symbolic reference.  Expands the program, substitutes
   the generator components, and checks the composition for the zero
-  polynomial.  Expensive but unconditional.
-* random_probe: seeded random evaluations, a cross-check only; its ZERO
-  verdict is probabilistic.
+  polynomial.  Expensive, but needs no grid.
+* random_probe: seeded random evaluations, a cross-check only.  It checks
+  neither promise, and its ZERO verdict is probabilistic.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable
 
-from .abp import Abp, Permutation, expand, lift_constants, resolve_order
+from .abp import Abp, Permutation, expand, lift_constants, resolve_order, stats
 from .errors import BudgetError, FieldError, StructureError
 from .fields import (
-    ExtensionField,
     Field,
     PrimeField,
     enumerate_points,
@@ -36,7 +48,7 @@ from .generator import (
     points_needed,
     seed_count,
 )
-from .poly import DEFAULT_TERM_BUDGET, SparsePoly
+from .poly import DEFAULT_TERM_BUDGET
 from .transforms import obliviate
 
 DEFAULT_GRID_BUDGET = 10**7
@@ -47,11 +59,9 @@ DEFAULT_SAMPLE_SPACE = 100
 class PitOptions:
     grid_budget: int = DEFAULT_GRID_BUDGET
     term_budget: int = DEFAULT_TERM_BUDGET
-    auto_extend: bool = True
     extension_cap: int = 32
     trials: int = 20
     seed: int = 0
-    sample_space: int = DEFAULT_SAMPLE_SPACE
 
 
 @dataclass
@@ -61,6 +71,7 @@ class PitVerdict:
     queries: int = 0
     witness: Any = None  # point (hitset/random) or monomial (compose)
     note: str | None = None
+    field: Field | None = None  # the working field; a witness point lives in it
 
 
 def level_for(n: int) -> int:
@@ -70,21 +81,12 @@ def level_for(n: int) -> int:
     return (n - 1).bit_length()
 
 
-def required_field_size(n: int, r: int, grid_points: int) -> int:
-    k = level_for(n)
-    return max(points_needed(k, r), grid_points)
-
-
 def ensure_field(field: Field, needed: int, opts: PitOptions) -> Field:
-    """Return field itself or a prime-power extension with >= needed elements."""
+    """Return field itself or the smallest prime-power extension with >= needed
+    elements; FieldError when that degree exceeds opts.extension_cap."""
     size = field.size()
     if size is None or size >= needed:
         return field
-    if not opts.auto_extend:
-        raise FieldError(
-            f"field has {size} elements but {needed} distinct points are "
-            f"needed; enable extension or pass a larger field"
-        )
     if isinstance(field, PrimeField):
         d = min_extension_degree(field.p, needed)
         if d > opts.extension_cap:
@@ -113,6 +115,57 @@ def seed_grid_size(n: int, r: int, opts: PitOptions) -> tuple[int, int, int]:
     return k, per_coord, total
 
 
+def _working_program(
+    a: Abp, r: int, opts: PitOptions, grid: bool = False
+) -> tuple[Abp, Permutation, int | None]:
+    """The program an exact verdict runs on, the order it respects, and the
+    points per seed coordinate of the hitset grid (None without ``grid``).
+
+    In this order: resolve and check the variable order; refuse, with
+    StructureError, a program that reads a variable more than r times (the
+    hitting set covers neither); with ``grid``, size the seed grid, so an
+    over-budget grid is reported before any field is chosen; pick a field
+    with enough points for the generator and the grid; and lift the
+    program's constants into it when it is an extension.
+    """
+    pi = resolve_order(a)
+    read = stats(a).read
+    if read > r:
+        raise StructureError(f"program reads a variable {read} times, over the read bound {r}")
+    needed = points_needed(level_for(a.num_vars), r)
+    per_coord = None
+    if grid:
+        _k, per_coord, _total = seed_grid_size(a.num_vars, r, opts)
+        needed = max(needed, per_coord)
+    work_field = ensure_field(a.field, needed, opts)
+    if work_field is not a.field:
+        a = lift_constants(a, work_field, work_field.embed)
+    return a, pi, per_coord
+
+
+def _query_grid(
+    oracle: Callable[[tuple], Any], pi: Permutation, r: int, per_coord: int, field: Field,
+    lifted: bool,
+) -> PitVerdict:
+    """Query the oracle on the generator image of each seed grid point, last
+    seed moving fastest.  Output slot j of the generator feeds the variable
+    of rank j; with fewer variables than 2^k slots the tail slots are unused.
+    """
+    note = f"evaluated over extension {field.config.to_json()}" if lifted else None
+    k = level_for(pi.n)
+    params = GeneratorParams.create(k, r, field)
+    m = seed_count(k, r)
+    ranks = [pi.rank(i) for i in range(1, pi.n + 1)]
+    zero = field.zero()
+    grid = itertools.product(enumerate_points(field, per_coord), repeat=m)
+    for queries, seed_point in enumerate(grid, start=1):
+        image = eval_generator(params, seed_point)
+        point = tuple(image[rank - 1] for rank in ranks)
+        if oracle(point) != zero:
+            return PitVerdict("NONZERO", "hitset", queries, point, note, field)
+    return PitVerdict("ZERO", "hitset", per_coord**m, None, note, field)
+
+
 def hitset_test(
     oracle: Callable[[tuple], Any],
     n: int,
@@ -121,13 +174,13 @@ def hitset_test(
     pi: Permutation | None = None,
     opts: PitOptions | None = None,
 ) -> PitVerdict:
-    """Deterministic zero test through generator-image queries.
+    """Deterministic zero test of a bare oracle through generator-image queries.
 
-    The oracle must accept points over ``field`` or, when the field is too
-    small, over the minimal prime-power extension that ensure_field picks
-    (the returned verdict notes the switch).  Output slot j of the generator
-    feeds the variable of rank j; with fewer variables than 2^k slots the
-    tail slots are discarded.
+    The oracle cannot be inspected, so this trusts its caller that it
+    computes a pi-ordered program of read at most r; hitset_test_abp checks
+    both promises on a program.  The oracle must accept points over
+    ``field`` or, when the field is too small, over the extension
+    ensure_field picks (the verdict notes the switch).
     """
     opts = opts or PitOptions()
     if pi is None:
@@ -136,72 +189,33 @@ def hitset_test(
         raise StructureError(f"order over {pi.n} variables, oracle has {n}")
     k, per_coord, _total = seed_grid_size(n, r, opts)
     work_field = ensure_field(field, max(points_needed(k, r), per_coord), opts)
-    note = None
-    if work_field is not field:
-        note = f"evaluated over extension {work_field.config.to_json()}"
-    params = GeneratorParams.create(k, r, work_field)
-    coords = enumerate_points(work_field, per_coord)
-    m = seed_count(k, r)
-    ranks = [pi.rank(i) for i in range(1, n + 1)]
-    zero = work_field.zero()
-
-    # odometer over the seed grid, last coordinate moving fastest
-    idx = [0] * m
-    queries = 0
-    while True:
-        seed_point = tuple(coords[t] for t in idx)
-        image = eval_generator(params, seed_point)
-        point = tuple(image[rank - 1] for rank in ranks)
-        queries += 1
-        if oracle(point) != zero:
-            return PitVerdict(
-                "NONZERO", "hitset", queries=queries, witness=point, note=note
-            )
-        pos = m - 1
-        while pos >= 0:
-            idx[pos] += 1
-            if idx[pos] < per_coord:
-                break
-            idx[pos] = 0
-            pos -= 1
-        if pos < 0:
-            return PitVerdict("ZERO", "hitset", queries=queries, note=note)
-
-
-def _embed_poly(p: SparsePoly, new_field: Field, embed) -> SparsePoly:
-    return SparsePoly(new_field, {m: embed(c) for m, c in p.terms.items()})
+    return _query_grid(oracle, pi, r, per_coord, work_field, work_field is not field)
 
 
 def compose_test(a: Abp, r: int, opts: PitOptions | None = None) -> PitVerdict:
     """Exact reference test: is the generator composition the zero polynomial?
 
-    Runs the full pipeline: resolve and check the variable order, reshape
-    the program oblivious (a no-op on the polynomial), expand exactly,
-    substitute the generator components by rank, and inspect the result.
+    Runs the full pipeline: pass the promise gate (order, read bound,
+    working field), reshape the program oblivious (a no-op on the
+    polynomial), expand exactly, substitute the generator components by
+    rank, and inspect the result.
     """
     opts = opts or PitOptions()
-    pi = resolve_order(a)
+    prog, pi, _ = _working_program(a, r, opts)
     n = a.num_vars
     k = level_for(n)
-    oblivious = obliviate(a, pi)
-    f = expand(oblivious, budget=opts.term_budget)
-
-    field = a.field
-    work_field = ensure_field(field, points_needed(k, r), opts)
+    f = expand(obliviate(prog, pi), budget=opts.term_budget)
     note = None
-    if work_field is not field:
-        if not isinstance(work_field, ExtensionField):  # pragma: no cover
-            raise FieldError("unexpected extension kind")
-        f = _embed_poly(f, work_field, work_field.embed)
-        note = f"composed over extension {work_field.config.to_json()}"
-    params = GeneratorParams.create(k, r, work_field)
+    if prog.field is not a.field:
+        note = f"composed over extension {prog.field.config.to_json()}"
+    params = GeneratorParams.create(k, r, prog.field)
     gen = build_generator(params)
     images = {i: gen.outputs[pi.rank(i) - 1] for i in range(1, n + 1)}
     composition = f.compose(images, budget=opts.term_budget)
     if composition.is_zero:
-        return PitVerdict("ZERO", "compose", note=note)
+        return PitVerdict("ZERO", "compose", note=note, field=prog.field)
     witness_mono = composition.sorted_terms()[0][0]
-    return PitVerdict("NONZERO", "compose", witness=witness_mono, note=note)
+    return PitVerdict("NONZERO", "compose", witness=witness_mono, note=note, field=prog.field)
 
 
 def random_probe(
@@ -214,52 +228,35 @@ def random_probe(
     opts = opts or PitOptions()
     rng = random.Random(opts.seed)
     size = field.size()
-    space = opts.sample_space if size is None else min(opts.sample_space, size)
+    space = DEFAULT_SAMPLE_SPACE if size is None else min(DEFAULT_SAMPLE_SPACE, size)
     zero = field.zero()
     for t in range(opts.trials):
         point = tuple(field.element_at(rng.randrange(space)) for _ in range(n))
         if oracle(point) != zero:
-            return PitVerdict(
-                "NONZERO", "random", queries=t + 1, witness=point
-            )
+            return PitVerdict("NONZERO", "random", t + 1, point, field=field)
     return PitVerdict(
         "ZERO",
         "random",
         queries=opts.trials,
         note=f"probabilistic: {opts.trials} samples from a {space}-point range per coordinate",
+        field=field,
     )
 
 
-def abp_oracle(a: Abp, over: Field | None = None) -> Callable[[tuple], Any]:
-    """Evaluation oracle for a program, optionally lifted to an extension."""
+def abp_oracle(a: Abp) -> Callable[[tuple], Any]:
+    """Evaluation oracle for a program over its own field."""
     from .abp import evaluate
 
-    prog = a
-    if over is not None and over != a.field:
-        if isinstance(over, ExtensionField) and isinstance(a.field, PrimeField) and over.p == a.field.p:
-            prog = lift_constants(a, over, over.embed)
-        else:
-            raise FieldError("oracle field mismatch")
-    return lambda point: evaluate(prog, point)
+    return lambda point: evaluate(a, point)
 
 
 def hitset_test_abp(a: Abp, r: int, opts: PitOptions | None = None) -> PitVerdict:
     """Hitset test driven by a program's own evaluation oracle.
 
-    Resolves and checks the variable order, sizes the grid, picks the
-    working field (extending the program's field when it is too small),
-    lifts the program's constants if needed, and hands the matching oracle
-    to hitset_test.
+    Passes the program through the promise gate, which also sizes the grid,
+    and queries the gated program's oracle.
     """
     opts = opts or PitOptions()
-    pi = resolve_order(a)
-    n = a.num_vars
-    k, per_coord, _total = seed_grid_size(n, r, opts)
-    work_field = ensure_field(a.field, max(points_needed(k, r), per_coord), opts)
-    if work_field == a.field:
-        return hitset_test(abp_oracle(a), n, r, work_field, pi=pi, opts=opts)
-    oracle = abp_oracle(a, over=work_field)
-    verdict = hitset_test(oracle, n, r, work_field, pi=pi, opts=opts)
-    return replace(
-        verdict, note=f"evaluated over extension {work_field.config.to_json()}"
-    )
+    prog, pi, per_coord = _working_program(a, r, opts, grid=True)
+    lifted = prog.field is not a.field
+    return _query_grid(abp_oracle(prog), pi, r, per_coord, prog.field, lifted)

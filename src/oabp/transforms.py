@@ -22,9 +22,9 @@ from .abp import (
     Permutation,
     VarLabel,
     _layers,
+    _oblivious_report,
     _poly_transfer,
     _sweep,
-    check_oblivious,
     expand,  # noqa: F401 - a lookup site the benchmark tracer wraps
     prune,
     require_valid,
@@ -156,7 +156,8 @@ def derivative_abp(a: Abp, i: int) -> Abp:
     never read the derivative is the zero program.
     """
     require_valid(a)
-    rep = check_oblivious(a)
+    grouped = _layers(a)
+    rep = _oblivious_report(grouped)
     if not rep.ok:
         raise StructureError(f"program is not oblivious: {rep.problem}")
     layers = [l for l, v in enumerate(rep.layer_vars) if v == i]
@@ -167,7 +168,6 @@ def derivative_abp(a: Abp, i: int) -> Abp:
             f"x_{i} is read in layers {layers}; single-layer reads required"
         )
     layer = layers[0]
-    grouped = _layers(a)
     one = ConstLabel(a.field.one())
     # the x_i edges become constant 1; the constant edges beside them go
     grouped[layer] = [

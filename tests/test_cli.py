@@ -152,19 +152,28 @@ def test_pit_compose_witness(capsys, fixtures_dir):
 
 
 def test_pit_zero_program(capsys, fixtures_dir):
-    code, out, _ = run(capsys, "pit", fixtures_dir / "zero_2.abp.json", "--read", "1")
+    code, out, _ = run(capsys, "pit", fixtures_dir / "zero_2.abp.json", "--read", "2")
     assert code == 0
-    assert out.startswith("ZERO (mode=hitset, queries=243)")
+    assert out.startswith("ZERO (mode=hitset, queries=2187)")
+    # the program reads its variables twice, so a read-once promise is refused
+    code, _, _ = run(capsys, "pit", fixtures_dir / "zero_2.abp.json", "--read", "1")
+    assert code == 2
 
 
 def test_pit_wrong_order_refused_in_both_exact_modes(capsys, fixtures_dir):
-    runs = [
-        run(capsys, "pit", fixtures_dir / "x1x2.abp.json", "--read", "1", "--order", "2,1",
-            "--mode", mode)
-        for mode in ("hitset", "compose")
-    ]
-    assert runs[0] == runs[1]
-    assert runs[0] == (2, "", "error: program does not respect the order [2, 1]\n")
+    for args, message in (
+        (("x1x2.abp.json", "--read", "1", "--order", "2,1"),
+         "program does not respect the order [2, 1]"),
+        # symm_3_2 reads each variable twice
+        (("symm_3_2.abp.json", "--read", "1"),
+         "program reads a variable 2 times, over the read bound 1"),
+    ):
+        runs = [
+            run(capsys, "pit", fixtures_dir / args[0], *args[1:], "--mode", mode)
+            for mode in ("hitset", "compose")
+        ]
+        assert runs[0] == runs[1]
+        assert runs[0] == (2, "", f"error: {message}\n")
 
 
 def test_pit_grid_budget_exceeded(capsys, fixtures_dir):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from oabp.abp import Abp, ConstLabel, Permutation, VarLabel, expand, make_abp
+from oabp.abp import Abp, ConstLabel, Permutation, VarLabel, expand, lift_constants, make_abp
 from oabp.corpus import standard_corpus
 from oabp.errors import BudgetError, FieldError, StructureError
 from oabp.fields import extension_field, prime_field, rationals
@@ -69,13 +69,18 @@ def test_seed_grid_size_default_and_component_bound():
 
 
 def test_hitset_and_compose_refuse_a_wrong_order_alike():
-    wrong = replace(x1x2(), order=Permutation.from_sequence([2, 1]))
-    messages = []
-    for test in (hitset_test_abp, compose_test):
-        with pytest.raises(StructureError) as info:
-            test(wrong, 1)
-        messages.append(str(info.value))
-    assert messages[0] == messages[1] == "program does not respect the order [2, 1]"
+    wrong_order = replace(x1x2(), order=Permutation.from_sequence([2, 1]))
+    # doubled_x1x2 reads each variable twice, over the promised read bound 1
+    for program, expected in (
+        (wrong_order, "program does not respect the order [2, 1]"),
+        (doubled_x1x2(Q), "program reads a variable 2 times, over the read bound 1"),
+    ):
+        messages = []
+        for test in (hitset_test_abp, compose_test):
+            with pytest.raises(StructureError) as info:
+                test(program, 1)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1] == expected
 
 
 # frozen run: x1*x2 over the rationals, read bound 1
@@ -116,7 +121,7 @@ def test_hitset_grid_budget_error_mentions_compose():
     assert "compose" in str(info.value)
     # the grid is sized before a working field is chosen, so F2 is never extended
     with pytest.raises(BudgetError):
-        hitset_test_abp(x1x2(prime_field(2)), 1, PitOptions(grid_budget=100, auto_extend=False))
+        hitset_test_abp(x1x2(prime_field(2)), 1, PitOptions(grid_budget=100, extension_cap=1))
 
 
 def test_hitset_rejects_order_arity_mismatch():
@@ -145,7 +150,7 @@ def test_small_field_auto_extension():
     work = ensure_field(f2, 5, PitOptions())
     assert (work.p, work.deg, work.config.modulus) == (2, 3, (1, 1, 0, 1))
     # the reported witness evaluates nonzero over that extension
-    oracle = abp_oracle(x1x2(f2), over=work)
+    oracle = abp_oracle(lift_constants(x1x2(f2), work, work.embed))
     assert oracle(v.witness) != work.zero()
 
     f3 = prime_field(3)
@@ -160,12 +165,12 @@ def test_char_two_cancellation_is_zero():
     # 2*x1*x2 vanishes identically over F2 and stays zero in the extension
     a = doubled_x1x2(prime_field(2))
     assert expand(a).is_zero
-    v = hitset_test_abp(a, 1)
+    v = hitset_test_abp(a, 2)
     assert v.verdict == "ZERO"
     assert v.note is not None and "extension" in v.note
-    assert compose_test(a, 1).verdict == "ZERO"
+    assert compose_test(a, 2).verdict == "ZERO"
     # the same shape over the rationals is honestly nonzero
-    assert hitset_test_abp(doubled_x1x2(Q), 1).verdict == "NONZERO"
+    assert hitset_test_abp(doubled_x1x2(Q), 2).verdict == "NONZERO"
 
 
 def test_ensure_field_paths():
@@ -174,19 +179,10 @@ def test_ensure_field_paths():
     f11 = prime_field(11)
     assert ensure_field(f11, 9, opts) is f11
     with pytest.raises(FieldError):
-        ensure_field(prime_field(2), 5, PitOptions(auto_extend=False))
-    with pytest.raises(FieldError):
         ensure_field(prime_field(2), 5, PitOptions(extension_cap=2))
     # extensions are not re-extended
     with pytest.raises(FieldError):
         ensure_field(extension_field(2, 2), 17, opts)
-
-
-def test_abp_oracle_field_mismatch():
-    with pytest.raises(FieldError):
-        abp_oracle(x1x2(Q), over=prime_field(5))
-    with pytest.raises(FieldError):
-        abp_oracle(x1x2(prime_field(5)), over=extension_field(2, 3))
 
 
 def test_random_probe_deterministic():
@@ -208,16 +204,39 @@ def test_random_probe_zero_is_flagged_probabilistic():
     assert v.note is not None and v.note.startswith("probabilistic")
 
 
+def over_prime(a, field):
+    """The same program with its integer constants reduced into F_p."""
+    edges = [
+        (e.src, e.dst, ConstLabel(field.from_int(int(e.label.value))))
+        if isinstance(e.label, ConstLabel)
+        else (e.src, e.dst, e.label)
+        for e in a.edges
+    ]
+    return make_abp(field, a.num_vars, a.levels, edges, a.order)
+
+
 def test_hitset_and_compose_agree_on_corpus_sample():
     two_var = [m for m in standard_corpus() if m.abp.num_vars == 2]
     members = [m for m in two_var if not m.zero][:12] + [m for m in two_var if m.zero][:4]
     assert len(members) == 16
-    zeros = 0
-    for m in members:
-        got = hitset_test_abp(m.abp, m.read_bound)
-        ref = compose_test(m.abp, m.read_bound)
-        assert got.verdict == ref.verdict, m.name
-        if m.zero is not None:
-            assert got.verdict == ("ZERO" if m.zero else "NONZERO"), m.name
-        zeros += got.verdict == "ZERO"
-    assert 0 < zeros < len(members)
+    # every third member again over F_2 and F_3: both exact modes lift it, and
+    # reducing the constants can cancel a nonzero member
+    cases = [(m.name, m.abp, m.read_bound) for m in members]
+    cases += [
+        (f"{m.name}@F{p}", over_prime(m.abp, prime_field(p)), m.read_bound)
+        for m in members[::3]
+        for p in (2, 3)
+    ]
+    zeros = lifted = 0
+    for name, a, r in cases:
+        truth = "ZERO" if expand(a).is_zero else "NONZERO"
+        got = hitset_test_abp(a, r)
+        ref = compose_test(a, r)
+        assert got.verdict == ref.verdict == truth, name
+        # random mode may miss a nonzero program, never invent one
+        assert truth == "NONZERO" or random_probe(abp_oracle(a), 2, a.field).verdict == "ZERO", name
+        zeros += truth == "ZERO"
+        lifted += got.note is not None and ref.note is not None
+    assert 0 < zeros < len(cases)
+    assert lifted == len(cases) - len(members)
+    assert zeros > sum(m.zero is True for m in members)  # some member cancels mod p
