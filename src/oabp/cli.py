@@ -411,6 +411,7 @@ def cmd_pit(args, cfg: CliConfig, emitter: _Emitter) -> int:
         "queries": verdict.queries,
         "witness": witness_json,
         "note": verdict.note,
+        "grid": None if verdict.grid is None else list(verdict.grid),
     }
     lines = [f"{verdict.verdict} (mode={verdict.mode}, queries={verdict.queries})"]
     if witness_text is not None:

@@ -440,8 +440,24 @@ class ExtensionField(Field):
         return tuple((-x) % p for x in a)
 
     def mul(self, a, b):
-        prod = _pmul(_trim(list(a)), _trim(list(b)), self.p)
-        return self._wrap(_pmod(prod, list(self.modulus), self.p))
+        # schoolbook product; then, from the top coefficient t down to deg,
+        # subtract c * x^(t-deg) * modulus, which clears coefficient t
+        p, d = self.p, self.deg
+        prod = [0] * (2 * d - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                k = i
+                for bj in b:
+                    prod[k] += ai * bj
+                    k += 1
+        for t in range(2 * d - 2, d - 1, -1):
+            c = prod[t] % p
+            if c:
+                k = t - d
+                for mj in self.modulus:
+                    prod[k] -= c * mj
+                    k += 1
+        return tuple([c % p for c in prod[:d]])
 
     def inv(self, a):
         # extended Euclid in F_p[x]

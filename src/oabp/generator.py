@@ -18,7 +18,8 @@ the recursion numerically and never expands anything symbolically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from functools import cached_property
+from typing import Sequence
 
 from .errors import FieldError, StructureError
 from .fields import Field, enumerate_points
@@ -78,6 +79,23 @@ class GeneratorParams:
             raise FieldError("interpolation points must be distinct")
         return GeneratorParams(k, r, field, points)
 
+    @cached_property
+    def _basis_tables(self) -> tuple:
+        """Per level j = 1..k, the barycentric tables (see _barycentric) of
+        the shift nodes points[:seed_count(j - 1, r)] and of the selector
+        nodes points[:2^j]; computed on first use, once per params object.
+
+        Not shared between params objects: a process-wide cache would make
+        the field operations of one zero test depend on the tests before it.
+        """
+        return tuple(
+            (
+                _barycentric(self.field, self.points[: seed_count(j - 1, self.r)]),
+                _barycentric(self.field, self.points[: 2**j]),
+            )
+            for j in range(1, self.k + 1)
+        )
+
 
 @dataclass(frozen=True)
 class PolyMap:
@@ -111,17 +129,35 @@ def lagrange_basis(field: Field, points: Sequence, i: int, var) -> SparsePoly:
     return num.scale(field.inv(denom))
 
 
-def _lagrange_value(field: Field, points: Sequence, i: int, at) -> Any:
-    """Value of the i-th basis polynomial at a point, no symbols involved."""
-    alpha_i = points[i - 1]
-    num = field.one()
-    denom = field.one()
-    for j, alpha_j in enumerate(points):
-        if j == i - 1:
-            continue
-        num = field.mul(num, field.sub(at, alpha_j))
-        denom = field.mul(denom, field.sub(alpha_i, alpha_j))
-    return field.div(num, denom)
+def _barycentric(field: Field, nodes: Sequence) -> tuple[tuple, tuple]:
+    """(negated nodes, barycentric weights w_i = 1 / prod_{j != i}(a_i - a_j))."""
+    weights = []
+    for i, a_i in enumerate(nodes):
+        denom = field.one()
+        for j, a_j in enumerate(nodes):
+            if j != i:
+                denom = field.mul(denom, field.sub(a_i, a_j))
+        weights.append(field.inv(denom))
+    return tuple(field.neg(a) for a in nodes), tuple(weights)
+
+
+def _basis_values(field: Field, table: tuple[tuple, tuple], at) -> list:
+    """Values of every Lagrange basis polynomial over the table's nodes at a
+    point, as w_i * prod_{j != i}(at - a_j): prefix and suffix products of
+    the differences, no inversion."""
+    neg, weights = table
+    diffs = [field.add(at, c) for c in neg]
+    out = list(weights)
+    m = len(out)
+    acc = None
+    for i in range(1, m):  # times d_0 ... d_{i-1}
+        acc = diffs[i - 1] if acc is None else field.mul(acc, diffs[i - 1])
+        out[i] = field.mul(out[i], acc)
+    acc = None
+    for i in range(m - 2, -1, -1):  # times d_{i+1} ... d_{m-1}
+        acc = diffs[i + 1] if acc is None else field.mul(acc, diffs[i + 1])
+        out[i] = field.mul(out[i], acc)
+    return out
 
 
 def shift_map(k: int, r: int, field: Field, points: Sequence) -> PolyMap:
@@ -145,24 +181,6 @@ def shift_map(k: int, r: int, field: Field, points: Sequence) -> PolyMap:
             acc = acc.add(basis.mul(SparsePoly.variable(field, ys[i - 1])))
         outputs.append(acc)
     return PolyMap(tuple(ys), tuple(outputs))
-
-
-def _shift_values(params: GeneratorParams, y_vals: Sequence) -> list:
-    """Numeric counterpart of shift_map at level params.k."""
-    field = params.field
-    r = params.r
-    m = seed_count(params.k, r)
-    base = params.points[:m]
-    out = []
-    for j in range(1, m + 1):
-        acc = field.zero()
-        for i in range(1, r + 1):
-            acc = field.add(
-                acc,
-                field.mul(y_vals[i - 1], _lagrange_value(field, base, j, y_vals[r + i - 1])),
-            )
-        out.append(acc)
-    return out
 
 
 def selector_map(k: int, field: Field, points: Sequence) -> PolyMap:
@@ -236,10 +254,10 @@ def eval_generator(params: GeneratorParams, assignment: Sequence) -> tuple:
         raise StructureError(
             f"level {k} expects {expect} seed values, got {len(assignment)}"
         )
-    return _eval(k, r, field, params.points, tuple(assignment))
+    return _eval(k, r, field, params._basis_tables, tuple(assignment))
 
 
-def _eval(k: int, r: int, field: Field, points: tuple, assignment: tuple) -> tuple:
+def _eval(k: int, r: int, field: Field, tables: tuple, assignment: tuple) -> tuple:
     if k == 0:
         return (assignment[0],)
     lc_prev = z_count(k - 1, r)
@@ -248,22 +266,20 @@ def _eval(k: int, r: int, field: Field, points: tuple, assignment: tuple) -> tup
     us = assignment[lc : lc + k]
     vs = assignment[lc + k :]
     inner_assignment = zs[:lc_prev] + us[: k - 1] + vs[: k - 1]
-    y_vals = zs[lc_prev:lc]
-    prev_params = GeneratorParams(k - 1, r, field, points)
-    t_vals = _shift_values(prev_params, y_vals)
-    shifted_inner = tuple(
-        field.add(a, t) for a, t in zip(inner_assignment, t_vals)
+    shift_table, select_table = tables[k - 1]
+    # translation T_j(y) = sum_i y_i * H_j(y_{r+i}), added to inner seed j
+    shifted_inner = list(inner_assignment)
+    for i in range(lc_prev, lc_prev + r):
+        y = zs[i]
+        for j, h in enumerate(_basis_values(field, shift_table, zs[i + r])):
+            shifted_inner[j] = field.add(shifted_inner[j], field.mul(y, h))
+    first = _eval(k - 1, r, field, tables, inner_assignment)
+    second = _eval(k - 1, r, field, tables, tuple(shifted_inner))
+    u_k = us[-1]
+    tags = _basis_values(field, select_table, vs[-1])
+    return tuple(
+        field.add(field.mul(u_k, tag), half) for tag, half in zip(tags, first + second)
     )
-    first = _eval(k - 1, r, field, points, inner_assignment)
-    second = _eval(k - 1, r, field, points, shifted_inner)
-    halves = first + second
-    width = 2**k
-    u_k, v_k = us[-1], vs[-1]
-    out = []
-    for j in range(1, width + 1):
-        tag = field.mul(u_k, _lagrange_value(field, points[:width], j, v_k))
-        out.append(field.add(tag, halves[j - 1]))
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -285,6 +301,63 @@ def degree_bounds(k: int, r: int) -> DegreeBounds:
         m = seed_count(j, r)
         prod *= m * (m - 1)
     return DegreeBounds(component_bound=prod, composition_bound=(2**k) * prod)
+
+
+_SEED_DEGREE_CACHE: dict = {}
+
+
+def _slot_degrees(k: int, r: int) -> tuple[tuple[dict, int], ...]:
+    """Per output slot of the level-k map, (per-seed degree bound, total
+    degree bound), by the structure of the recursion alone.
+
+    A first-half slot is the inner slot plus the tag u_k * L_j(v_k), of
+    degree 1 in u_k, 2^k - 1 in v_k and 2^k in total.  A second-half slot is
+    the inner slot after s -> s + sum_i y_i * H_s(y_{r+i}) on every inner
+    seed s, where H_s has degree m - 1 for m = seed_count(k - 1, r): a
+    monomial of total degree T keeps its inner degrees and gains at most T
+    in each y_i, T * (m - 1) in each y_{r+i}, and T * m in total.  The
+    second-half slot then gets the tag as well.
+    """
+    if k == 0:
+        return (({"z1": 1}, 1),)
+    inner = _slot_degrees(k - 1, r)
+    m = seed_count(k - 1, r)
+    lc = z_count(k - 1, r)
+    width = 2**k
+    halves = list(inner)
+    for degs, total in inner:
+        shifted = dict(degs)
+        for i in range(1, r + 1):
+            shifted[f"z{lc + i}"] = total
+            shifted[f"z{lc + r + i}"] = total * (m - 1)
+        halves.append((shifted, total * m))
+    slots = []
+    for degs, total in halves:
+        tagged = dict(degs)
+        tagged[f"u{k}"] = 1
+        tagged[f"v{k}"] = width - 1
+        slots.append((tagged, max(total, width)))
+    return tuple(slots)
+
+
+def seed_degree_bounds(k: int, r: int, n: int) -> tuple[int, ...]:
+    """Bound d_s on deg_s(f o G_k) for every multilinear f in n <= 2^k
+    variables, in seed_names(k, r) order: the sum of the per-seed bounds of
+    _slot_degrees over the first n output slots, the ones that feed
+    variables.  Does not depend on the field (cancellation only lowers a
+    degree); cached per (k, r, n).
+    """
+    key = (k, r, n)
+    got = _SEED_DEGREE_CACHE.get(key)
+    if got is None:
+        if not 1 <= n <= 2**k:
+            raise StructureError(f"level {k} feeds 1..{2**k} variables, got {n}")
+        slots = _slot_degrees(k, r)[:n]
+        got = tuple(
+            sum(degs.get(name, 0) for degs, _ in slots) for name in seed_names(k, r)
+        )
+        _SEED_DEGREE_CACHE[key] = got
+    return got
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,8 @@ Three modes:
 
 * hitset_test_abp: deterministic.  Evaluates the program on the image of
   the level-k generator over a small grid of seed values; a read-r ordered
-  program of n <= 2^k variables vanishes on all grid points iff it is zero.
+  program of n <= 2^k variables vanishes on all grid points iff it is zero
+  (see "Why the grid suffices" below).
   hitset_test runs the same grid on a bare oracle, which it cannot inspect,
   so it trusts its caller's order and read promises.
 * compose_test: exact symbolic reference.  Expands the program, substitutes
@@ -22,11 +23,35 @@ Three modes:
   polynomial.  Expensive, but needs no grid.
 * random_probe: seeded random evaluations, a cross-check only.  It checks
   neither promise, and its ZERO verdict is probabilistic.
+
+Why the grid suffices.  The source paper shows that f o G_k is nonzero for
+every nonzero pi-ordered read-r program f of n <= 2^k variables, where
+variable i receives output slot pi.rank(i) of G_k.  It remains to find a
+point of the seed space where f o G_k does not vanish:
+
+* Every path of an ordered program reads each variable at most once, so f
+  is multilinear.  A monomial of f is a product of distinct slots G_j,
+  j <= n, hence deg_s(f o G_k) <= sum_{j <= n} deg_s(G_j) for each seed s.
+  generator.seed_degree_bounds bounds the right side by d_s, through a
+  recurrence on the structure of G_k that holds over every field.
+* Product-grid lemma: a nonzero polynomial g with deg_s(g) <= d_s for every
+  seed s does not vanish on all of S_1 x ... x S_m when |S_s| = d_s + 1.
+  Induct on m: write g as sum_e g_e * s_m^e with g_e over the other seeds
+  and some g_e nonzero; by induction g_e(p) != 0 at some grid point p of the
+  other seeds, and then g(p, s_m) is a nonzero univariate polynomial of
+  degree <= d_m, which has at most d_m roots, so one of the d_m + 1 values
+  in S_m is not a root.
+
+So the grid that gives seed s the first d_s + 1 points of the field's
+canonical enumeration is a hitting set, and ZERO after all its points is
+exact.  The working field needs max_s(d_s + 1) points for the grid and
+points_needed(k, r) for the generator's interpolation nodes.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -43,10 +68,9 @@ from .fields import (
 from .generator import (
     GeneratorParams,
     build_generator,
-    degree_bounds,
     eval_generator,
     points_needed,
-    seed_count,
+    seed_degree_bounds,
 )
 from .poly import DEFAULT_TERM_BUDGET
 from .transforms import obliviate
@@ -72,6 +96,7 @@ class PitVerdict:
     witness: Any = None  # point (hitset/random) or monomial (compose)
     note: str | None = None
     field: Field | None = None  # the working field; a witness point lives in it
+    grid: tuple[int, ...] | None = None  # hitset only: points per seed
 
 
 def level_for(n: int) -> int:
@@ -100,26 +125,33 @@ def ensure_field(field: Field, needed: int, opts: PitOptions) -> Field:
     )
 
 
+def _grid_sides(n: int, r: int) -> tuple[int, ...]:
+    """Points per seed of the hitset grid: d_s + 1 for the per-seed degree
+    bounds d_s of seed_degree_bounds."""
+    return tuple(d + 1 for d in seed_degree_bounds(level_for(n), r, n))
+
+
 def seed_grid_size(n: int, r: int, opts: PitOptions) -> tuple[int, int, int]:
-    """(k, points per coordinate, total grid size) for the hitset grid, sized
-    by the composition degree bound; BudgetError if over opts.grid_budget."""
-    k = level_for(n)
-    per_coord = degree_bounds(k, r).composition_bound + 1
-    m = seed_count(k, r)
-    total = per_coord**m
+    """(k, most points on any seed, total grid size) for the hitset grid;
+    BudgetError if the total is over opts.grid_budget.
+
+    The middle entry is what the working field must hold besides the
+    generator's own interpolation nodes.
+    """
+    sides = _grid_sides(n, r)
+    total = math.prod(sides)
     if total > opts.grid_budget:
         raise BudgetError(
-            f"hitset grid needs {per_coord}^{m} = {total} points, "
+            f"hitset grid needs {'*'.join(map(str, sides))} = {total} points, "
             f"budget is {opts.grid_budget}; compose mode avoids the grid"
         )
-    return k, per_coord, total
+    return level_for(n), max(sides), total
 
 
 def _working_program(
     a: Abp, r: int, opts: PitOptions, grid: bool = False
-) -> tuple[Abp, Permutation, int | None]:
-    """The program an exact verdict runs on, the order it respects, and the
-    points per seed coordinate of the hitset grid (None without ``grid``).
+) -> tuple[Abp, Permutation]:
+    """The program an exact verdict runs on and the order it respects.
 
     In this order: resolve and check the variable order; refuse, with
     StructureError, a program that reads a variable more than r times (the
@@ -133,37 +165,36 @@ def _working_program(
     if read > r:
         raise StructureError(f"program reads a variable {read} times, over the read bound {r}")
     needed = points_needed(level_for(a.num_vars), r)
-    per_coord = None
     if grid:
         _k, per_coord, _total = seed_grid_size(a.num_vars, r, opts)
         needed = max(needed, per_coord)
     work_field = ensure_field(a.field, needed, opts)
     if work_field is not a.field:
         a = lift_constants(a, work_field, work_field.embed)
-    return a, pi, per_coord
+    return a, pi
 
 
 def _query_grid(
-    oracle: Callable[[tuple], Any], pi: Permutation, r: int, per_coord: int, field: Field,
-    lifted: bool,
+    oracle: Callable[[tuple], Any], pi: Permutation, r: int, field: Field, lifted: bool
 ) -> PitVerdict:
     """Query the oracle on the generator image of each seed grid point, last
-    seed moving fastest.  Output slot j of the generator feeds the variable
+    seed moving fastest.  Seed s takes the first d_s + 1 points of the
+    field's enumeration.  Output slot j of the generator feeds the variable
     of rank j; with fewer variables than 2^k slots the tail slots are unused.
+    The caller has sized the grid (seed_grid_size) and picked the field.
     """
     note = f"evaluated over extension {field.config.to_json()}" if lifted else None
-    k = level_for(pi.n)
-    params = GeneratorParams.create(k, r, field)
-    m = seed_count(k, r)
+    params = GeneratorParams.create(level_for(pi.n), r, field)
+    sides = _grid_sides(pi.n, r)
     ranks = [pi.rank(i) for i in range(1, pi.n + 1)]
     zero = field.zero()
-    grid = itertools.product(enumerate_points(field, per_coord), repeat=m)
+    grid = itertools.product(*(enumerate_points(field, side) for side in sides))
     for queries, seed_point in enumerate(grid, start=1):
         image = eval_generator(params, seed_point)
         point = tuple(image[rank - 1] for rank in ranks)
         if oracle(point) != zero:
-            return PitVerdict("NONZERO", "hitset", queries, point, note, field)
-    return PitVerdict("ZERO", "hitset", per_coord**m, None, note, field)
+            return PitVerdict("NONZERO", "hitset", queries, point, note, field, sides)
+    return PitVerdict("ZERO", "hitset", math.prod(sides), None, note, field, sides)
 
 
 def hitset_test(
@@ -189,7 +220,7 @@ def hitset_test(
         raise StructureError(f"order over {pi.n} variables, oracle has {n}")
     k, per_coord, _total = seed_grid_size(n, r, opts)
     work_field = ensure_field(field, max(points_needed(k, r), per_coord), opts)
-    return _query_grid(oracle, pi, r, per_coord, work_field, work_field is not field)
+    return _query_grid(oracle, pi, r, work_field, work_field is not field)
 
 
 def compose_test(a: Abp, r: int, opts: PitOptions | None = None) -> PitVerdict:
@@ -201,7 +232,7 @@ def compose_test(a: Abp, r: int, opts: PitOptions | None = None) -> PitVerdict:
     rank, and inspect the result.
     """
     opts = opts or PitOptions()
-    prog, pi, _ = _working_program(a, r, opts)
+    prog, pi = _working_program(a, r, opts)
     n = a.num_vars
     k = level_for(n)
     f = expand(obliviate(prog, pi), budget=opts.term_budget)
@@ -257,6 +288,5 @@ def hitset_test_abp(a: Abp, r: int, opts: PitOptions | None = None) -> PitVerdic
     and queries the gated program's oracle.
     """
     opts = opts or PitOptions()
-    prog, pi, per_coord = _working_program(a, r, opts, grid=True)
-    lifted = prog.field is not a.field
-    return _query_grid(abp_oracle(prog), pi, r, per_coord, prog.field, lifted)
+    prog, pi = _working_program(a, r, opts, grid=True)
+    return _query_grid(abp_oracle(prog), pi, r, prog.field, prog.field is not a.field)

@@ -124,7 +124,7 @@ def test_c03_hitset_grid_end_to_end():
             m for m in standard_corpus() if m.abp.num_vars == 2 and m.read_bound == 1
         ][:50]
         assert len(members) == 50
-        assert seed_grid_size(2, 1, PitOptions()) == (1, 3, 243)
+        assert seed_grid_size(2, 1, PitOptions()) == (1, 3, 54)
         for m in members:
             got = hitset_test_abp(m.abp, 1)
             ref = compose_test(m.abp, 1)
@@ -132,8 +132,8 @@ def test_c03_hitset_grid_end_to_end():
             if got.verdict == "NONZERO":
                 assert evaluate(m.abp, got.witness) != 0, m.name
             else:
-                assert got.queries == 243, m.name
-        info["note"] = "50 members, 243-point grid"
+                assert got.queries == 54, m.name
+        info["note"] = "50 members, 54-point grid"
 
 
 def test_c04_obliviation_contract():

@@ -136,6 +136,7 @@ def test_pit_hitset_json_deterministic(capsys, fixtures_dir):
         "queries": 6,
         "witness": ["-1", "2"],
         "note": None,
+        "grid": [3, 2, 1, 3, 3],
     }
     _, again, _ = run(
         capsys, "--json", "pit", fixtures_dir / "x1x2.abp.json", "--read", "1"
@@ -154,7 +155,7 @@ def test_pit_compose_witness(capsys, fixtures_dir):
 def test_pit_zero_program(capsys, fixtures_dir):
     code, out, _ = run(capsys, "pit", fixtures_dir / "zero_2.abp.json", "--read", "2")
     assert code == 0
-    assert out.startswith("ZERO (mode=hitset, queries=2187)")
+    assert out.startswith("ZERO (mode=hitset, queries=108)")
     # the program reads its variables twice, so a read-once promise is refused
     code, _, _ = run(capsys, "pit", fixtures_dir / "zero_2.abp.json", "--read", "1")
     assert code == 2
@@ -355,21 +356,21 @@ def test_decompose_with_reduction(capsys, fixtures_dir):
 
 def test_config_file_flag(capsys, fixtures_dir, tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"grid_budget": 100}')
+    cfg.write_text('{"grid_budget": 50}')
     code, _, err = run(
         capsys, "--config", cfg, "pit", fixtures_dir / "x1x2.abp.json", "--read", "1"
     )
     assert code == 2
-    assert "budget is 100" in err
+    assert "budget is 50" in err
 
 
 def test_config_env_var(capsys, fixtures_dir, tmp_path, monkeypatch):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"grid_budget": 100}')
+    cfg.write_text('{"grid_budget": 50}')
     monkeypatch.setenv("OABP_CONFIG", str(cfg))
     code, _, err = run(capsys, "pit", fixtures_dir / "x1x2.abp.json", "--read", "1")
     assert code == 2
-    assert "budget is 100" in err
+    assert "budget is 50" in err
     # an explicit command line budget wins over the config file
     code, out, _ = run(
         capsys,

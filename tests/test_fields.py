@@ -8,6 +8,9 @@ import pytest
 from oabp.errors import BudgetError, FieldError, FormatError
 from oabp.fields import (
     FieldConfig,
+    _pmod,
+    _pmul,
+    _trim,
     enumerate_points,
     extension_field,
     find_irreducible,
@@ -128,6 +131,17 @@ def test_extension_field_f9_table():
         assert F9.mul(a, F9.inv(a)) == F9.one()
     with pytest.raises(FieldError):
         F9.inv(F9.zero())
+
+
+@pytest.mark.parametrize("p,d", [(3, 2), (2, 3), (5, 2)])
+def test_extension_mul_matches_polynomial_reduction(p, d):
+    # every pair of F_9, F_8 and F_25 against the product reduced by _pmod
+    F = extension_field(p, d)
+    elements = [F.element_at(j) for j in range(p**d)]
+    for a in elements:
+        for b in elements:
+            want = _pmod(_pmul(_trim(list(a)), _trim(list(b)), p), list(F.modulus), p)
+            assert F.mul(a, b) == tuple(want + [0] * (d - len(want))), (a, b)
 
 
 def test_extension_field_frobenius_fixes_everything():

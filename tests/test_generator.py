@@ -1,12 +1,13 @@
 """The recursive hitting-set map: closed forms, evaluation, degree bounds."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from oabp.errors import FieldError, StructureError
-from oabp.fields import enumerate_points, prime_field, rationals
+from oabp.fields import enumerate_points, extension_field, prime_field, rationals
 from oabp.generator import (
     GeneratorParams,
     audit_component_degrees,
@@ -15,6 +16,7 @@ from oabp.generator import (
     eval_generator,
     points_needed,
     seed_count,
+    seed_degree_bounds,
     seed_names,
     selector_map,
     shift_map,
@@ -102,6 +104,22 @@ def test_eval_matches_symbolic(k, r):
             assert eval_generator(params, seed) == want
 
 
+def test_eval_on_custom_nodes_matches_symbolic():
+    # barycentric tables are cached per point tuple; reversed and shuffled
+    # node sets must each get their own
+    rng = random.Random(5)
+    for field, k, r in ((Q, 2, 2), (extension_field(3, 2), 2, 1)):
+        canonical = enumerate_points(field, points_needed(k, r))
+        for points in (canonical[::-1], tuple(rng.sample(canonical, len(canonical)))):
+            params = GeneratorParams.create(k, r, field, points)
+            pm = build_generator(params)
+            names = seed_names(k, r)
+            for _ in range(5):
+                seed = tuple(rng.choice(canonical) for _ in names)
+                want = tuple(comp.evaluate(dict(zip(names, seed))) for comp in pm.outputs)
+                assert eval_generator(params, seed) == want
+
+
 def test_output_count_doubles_per_level():
     for k in (0, 1, 2, 3):
         pm = build_generator(GeneratorParams.create(k, 1, Q))
@@ -180,6 +198,40 @@ def test_degree_bounds_frozen():
     assert degree_bounds(2, 2).component_bound == 42
     assert degree_bounds(3, 1).component_bound == 1440
     assert degree_bounds(3, 2).component_bound == 6552
+
+
+def test_seed_degree_bounds_cover_exact_degrees():
+    # d_s >= sum_{j <= n} deg_s(G_j) over every field, with equality over Q;
+    # F_9 has too few points for the level-2, read-2 map
+    F9 = extension_field(3, 2)
+    totals = {}
+    for k, r in ((1, 1), (1, 2), (2, 1), (2, 2)):
+        names = seed_names(k, r)
+        for field in (Q, prime_field(10007), F9):
+            if field.size() is not None and field.size() < points_needed(k, r):
+                assert (field, k, r) == (F9, 2, 2)
+                continue
+            pm = build_generator(GeneratorParams.create(k, r, field))
+            for n in range(2 ** (k - 1) + 1, 2**k + 1):
+                bound = seed_degree_bounds(k, r, n)
+                exact = tuple(
+                    sum(c.individual_degrees().get(s, 0) for c in pm.outputs[:n])
+                    for s in names
+                )
+                assert all(e <= d for e, d in zip(exact, bound)), (field, k, r, n)
+                if field == Q:
+                    assert exact == bound, (k, r, n)
+                    totals[k, r, n] = math.prod(d + 1 for d in bound)
+    assert totals == {
+        (1, 1, 2): 54,
+        (1, 2, 2): 108,
+        (2, 1, 3): 138240,
+        (2, 1, 4): 2071875,
+        (2, 2, 3): 15575040,
+        (2, 2, 4): 1142578125,
+    }
+    with pytest.raises(StructureError):
+        seed_degree_bounds(2, 1, 5)
 
 
 def test_degree_audit_exact_levels():

@@ -2,10 +2,20 @@
 
 from dataclasses import replace
 from fractions import Fraction
+from math import prod
 
 import pytest
 
-from oabp.abp import Abp, ConstLabel, Permutation, VarLabel, expand, lift_constants, make_abp
+from oabp.abp import (
+    Abp,
+    ConstLabel,
+    Permutation,
+    VarLabel,
+    expand,
+    lift_constants,
+    make_abp,
+    resolve_order,
+)
 from oabp.corpus import standard_corpus
 from oabp.errors import BudgetError, FieldError, StructureError
 from oabp.fields import extension_field, prime_field, rationals
@@ -20,6 +30,7 @@ from oabp.pit import (
     random_probe,
     seed_grid_size,
 )
+from oabp.poly import SparsePoly
 
 Q = rationals()
 
@@ -63,9 +74,16 @@ def test_level_for():
 
 
 def test_seed_grid_size_default_and_component_bound():
-    assert seed_grid_size(2, 1, PitOptions()) == (1, 3, 243)
+    assert seed_grid_size(2, 1, PitOptions()) == (1, 3, 54)
     with pytest.raises(BudgetError, match="compose mode avoids the grid"):
-        seed_grid_size(2, 1, PitOptions(grid_budget=242))
+        seed_grid_size(2, 1, PitOptions(grid_budget=53))
+
+
+def test_seed_grid_size_per_seed():
+    # read-once programs of three variables fit the default budget
+    assert seed_grid_size(3, 1, PitOptions()) == (2, 10, 138240)
+    with pytest.raises(BudgetError, match=r"needs 5\*3\*1\*5\*17\*5\*5\*5\*13 = 2071875"):
+        seed_grid_size(4, 1, PitOptions(grid_budget=2 * 10**6))
 
 
 def test_hitset_and_compose_refuse_a_wrong_order_alike():
@@ -112,16 +130,16 @@ def test_hitset_zero_exhausts_grid():
     assert expand(neg).is_zero
     v = hitset_test(abp_oracle(neg), 2, 1, Q)
     assert v.verdict == "ZERO"
-    assert v.queries == 243
+    assert v.queries == 54
 
 
 def test_hitset_grid_budget_error_mentions_compose():
     with pytest.raises(BudgetError) as info:
-        hitset_test(abp_oracle(x1x2()), 2, 1, Q, opts=PitOptions(grid_budget=100))
+        hitset_test(abp_oracle(x1x2()), 2, 1, Q, opts=PitOptions(grid_budget=50))
     assert "compose" in str(info.value)
     # the grid is sized before a working field is chosen, so F2 is never extended
     with pytest.raises(BudgetError):
-        hitset_test_abp(x1x2(prime_field(2)), 1, PitOptions(grid_budget=100, extension_cap=1))
+        hitset_test_abp(x1x2(prime_field(2)), 1, PitOptions(grid_budget=50, extension_cap=1))
 
 
 def test_hitset_rejects_order_arity_mismatch():
@@ -240,3 +258,34 @@ def test_hitset_and_compose_agree_on_corpus_sample():
     assert 0 < zeros < len(cases)
     assert lifted == len(cases) - len(members)
     assert zeros > sum(m.zero is True for m in members)  # some member cancels mod p
+
+
+def test_hitset_matches_expansion_on_every_two_variable_member():
+    # each member over Q, F_10007 and F_3 (the grid runs over F_9): ZERO must
+    # match the exact expansion, a NONZERO witness must not vanish on it, and
+    # the bare oracle over the same working program gives the same verdict
+    two_var = [m for m in standard_corpus() if m.abp.num_vars == 2]
+    assert len(two_var) == 102
+    zeros = 0
+    for m in two_var:
+        for field in (Q, prime_field(10007), prime_field(3)):
+            a = m.abp if field == Q else over_prime(m.abp, field)
+            got = hitset_test_abp(a, m.read_bound)
+            work = got.field
+            ref = expand(a)
+            if work is not field:
+                ref = SparsePoly(work, {mono: work.embed(c) for mono, c in ref.terms.items()})
+            name = f"{m.name}@{field}"
+            if got.verdict == "ZERO":
+                assert ref.is_zero, name
+                assert got.queries == prod(got.grid), name
+                zeros += 1
+            else:
+                point = dict(enumerate(got.witness, start=1))
+                assert ref.evaluate(point) != work.zero(), name
+            oracle = abp_oracle(lift_constants(a, work, work.embed) if work is not field else a)
+            bare = hitset_test(oracle, 2, m.read_bound, field, pi=resolve_order(a))
+            assert (bare.verdict, bare.queries, bare.witness) == (
+                got.verdict, got.queries, got.witness
+            ), name
+    assert 0 < zeros < 3 * len(two_var)
