@@ -58,19 +58,13 @@ from .families import (
     verify_full_rank,
 )
 from .generator import (
-    DegreeBounds,
     GeneratorParams,
     PolyMap,
-    audit_component_degrees,
     build_generator,
-    degree_bounds,
     eval_generator,
-    lagrange_basis,
     points_needed,
     seed_count,
     seed_names,
-    selector_map,
-    shift_map,
     z_count,
 )
 from .pit import (

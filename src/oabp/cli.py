@@ -44,9 +44,9 @@ from .fields import Field, extension_field, prime_field, rationals
 from .generator import (
     GeneratorParams,
     build_generator,
-    degree_bounds,
     eval_generator,
     seed_count,
+    seed_degree_bounds,
     seed_names,
 )
 from .pit import (
@@ -357,13 +357,11 @@ def cmd_gen(args, cfg: CliConfig, emitter: _Emitter) -> int:
         )
         return 0
     pm = build_generator(params)
-    bounds = degree_bounds(args.k, args.r)
     payload = {
         "k": args.k,
         "r": args.r,
         "seed_names": list(names),
-        "component_degree_bound": bounds.component_bound,
-        "composition_degree_bound": bounds.composition_bound,
+        "seed_degree_bounds": list(seed_degree_bounds(args.k, args.r, 2**args.k)),
         "components": [poly_to_json(c) for c in pm.outputs],
     }
     lines = [f"map with {len(names)} seeds {', '.join(names)} and {len(pm.outputs)} outputs:"]
@@ -586,7 +584,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True, help="recursion level")
     p.add_argument("--r", type=int, required=True, help="read bound")
     p.add_argument("--field", help="field spec: Q, F<p>, F<p>^<d>")
-    p.add_argument("--print", action="store_true", help="print the components")
     p.add_argument("--eval", help="comma-separated seed values")
 
     p = add("pit", cmd_pit, "zero-test a program")

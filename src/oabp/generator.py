@@ -11,8 +11,15 @@ where l(k) = 2rk + 1 for the read bound r.  It is built recursively:
   with u_{k+1} * L_j(v_{k+1}) so single outputs can be bumped independently.
 
 Seed variables are named z1..zl, u1..uk, v1..vk.  The last 2r z-variables
-play the role of the translation inputs at the top level.  Evaluation mirrors
-the recursion numerically and never expands anything symbolically.
+play the role of the translation inputs at the top level.
+
+Both forms of the map share one Lagrange evaluator, _basis_values, over the
+barycentric tables of GeneratorParams._basis_tables.  eval_generator runs
+it on field elements, recursing into both halves and expanding nothing;
+build_generator runs it on polynomials, to get the symbolic shift images
+and slot tags, and composes the inner map into the second half.
+seed_degree_bounds is the one degree bound: it sizes the hitset grid and is
+checked against the exact degrees of the built map.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from typing import Sequence
 
 from .errors import FieldError, StructureError
 from .fields import Field, enumerate_points
-from .poly import SparsePoly
+from .poly import DEFAULT_TERM_BUDGET, SparsePoly
 
 _BUILD_CACHE: dict = {}
 
@@ -104,30 +111,6 @@ class PolyMap:
     inputs: tuple[str, ...]
     outputs: tuple[SparsePoly, ...]
 
-    @property
-    def arity(self) -> int:
-        return len(self.inputs)
-
-    @property
-    def n_outputs(self) -> int:
-        return len(self.outputs)
-
-
-def lagrange_basis(field: Field, points: Sequence, i: int, var) -> SparsePoly:
-    """i-th (1-based) Lagrange basis polynomial over the points, in var."""
-    if not 1 <= i <= len(points):
-        raise StructureError(f"basis index {i} out of range 1..{len(points)}")
-    alpha_i = points[i - 1]
-    num = SparsePoly.const(field, field.one())
-    denom = field.one()
-    w = SparsePoly.variable(field, var)
-    for j, alpha_j in enumerate(points):
-        if j == i - 1:
-            continue
-        num = num.mul(w.sub(SparsePoly.const(field, alpha_j)))
-        denom = field.mul(denom, field.sub(alpha_i, alpha_j))
-    return num.scale(field.inv(denom))
-
 
 def _barycentric(field: Field, nodes: Sequence) -> tuple[tuple, tuple]:
     """(negated nodes, barycentric weights w_i = 1 / prod_{j != i}(a_i - a_j))."""
@@ -141,10 +124,14 @@ def _barycentric(field: Field, nodes: Sequence) -> tuple[tuple, tuple]:
     return tuple(field.neg(a) for a in nodes), tuple(weights)
 
 
-def _basis_values(field: Field, table: tuple[tuple, tuple], at) -> list:
+def _basis_values(field, table: tuple[tuple, tuple], at) -> list:
     """Values of every Lagrange basis polynomial over the table's nodes at a
     point, as w_i * prod_{j != i}(at - a_j): prefix and suffix products of
-    the differences, no inversion."""
+    the differences, no inversion.
+
+    field only needs add(a, b) and mul(a, b): a Field for element values,
+    or the SparsePoly class for polynomial values (the table entries and at
+    then SparsePolys)."""
     neg, weights = table
     diffs = [field.add(at, c) for c in neg]
     out = list(weights)
@@ -160,85 +147,46 @@ def _basis_values(field: Field, table: tuple[tuple, tuple], at) -> list:
     return out
 
 
-def shift_map(k: int, r: int, field: Field, points: Sequence) -> PolyMap:
-    """Translation map T: 2r inputs y_1..y_{2r} to l(k)+2k outputs.
+def build_generator(params: GeneratorParams, budget: int | None = DEFAULT_TERM_BUDGET) -> PolyMap:
+    """Symbolic form of the level-k map.
 
-    Component j is sum_i y_i * H_j(y_{r+i}) with H the Lagrange basis over
-    the first l(k)+2k points.  Fixing y_{r+i} to the j-th point and zeroing
-    the other pairs makes the output y_i times the j-th unit vector, so the
-    image covers every vector with at most r nonzero entries.
-    """
-    m = seed_count(k, r)
-    if len(points) < m:
-        raise FieldError(f"translation map needs {m} points, got {len(points)}")
-    base = tuple(points[:m])
-    ys = [f"y{i}" for i in range(1, 2 * r + 1)]
-    outputs = []
-    for j in range(1, m + 1):
-        acc = SparsePoly.zero(field)
-        for i in range(1, r + 1):
-            basis = lagrange_basis(field, base, j, ys[r + i - 1])
-            acc = acc.add(basis.mul(SparsePoly.variable(field, ys[i - 1])))
-        outputs.append(acc)
-    return PolyMap(tuple(ys), tuple(outputs))
-
-
-def selector_map(k: int, field: Field, points: Sequence) -> PolyMap:
-    """Slot tags (u * L_1(v), ..., u * L_{2^k}(v)) over points[:2^k]."""
-    if k < 1:
-        raise StructureError(f"selector level must be >= 1, got {k}")
-    width = 2**k
-    if len(points) < width:
-        raise FieldError(f"selector needs {width} points, got {len(points)}")
-    u = SparsePoly.variable(field, f"u{k}")
-    outputs = tuple(
-        u.mul(lagrange_basis(field, points[:width], j, f"v{k}"))
-        for j in range(1, width + 1)
-    )
-    return PolyMap((f"u{k}", f"v{k}"), outputs)
-
-
-def build_generator(params: GeneratorParams) -> PolyMap:
-    """Symbolic form of the level-k map; cached per (k, r, field, points).
-
+    Every composition inside the build raises BudgetError once it holds
+    more than budget terms.  Finished maps are cached per (k, r, field,
+    points, budget), so a map built under one budget is never handed to a
+    caller with a smaller one; a build that raised leaves nothing behind.
     Feasible for small k only; evaluation via eval_generator stays cheap at
     every level.
     """
-    key = (params.k, params.r, params.field.config, params.points[: points_needed(params.k, params.r)])
+    k, r, field = params.k, params.r, params.field
+    key = (k, r, field.config, params.points[: points_needed(k, r)], budget)
     got = _BUILD_CACHE.get(key)
     if got is None:
-        got = _build(params.k, params.r, params.field, params.points)
+        got = PolyMap(seed_names(k, r), _build(k, r, field, params._basis_tables, budget))
         _BUILD_CACHE[key] = got
     return got
 
 
-def _build(k: int, r: int, field: Field, points: tuple) -> PolyMap:
+def _build(k: int, r: int, field: Field, tables: tuple, budget: int | None) -> tuple:
     if k == 0:
-        return PolyMap(seed_names(0, r), (SparsePoly.variable(field, "z1"),))
-    inner = _build(k - 1, r, field, points)
-    lc = z_count(k - 1, r)
-    shift = shift_map(k - 1, r, field, points)
-    # the 2r fresh z-variables feed the translation map
-    y_of = {f"y{i}": f"z{lc + i}" for i in range(1, 2 * r + 1)}
-    shift_components = [
-        SparsePoly(
-            field,
-            {
-                tuple((y_of[v], e) for v, e in mono): c
-                for mono, c in comp.terms.items()
-            },
-        )
-        for comp in shift.outputs
-    ]
+        return (SparsePoly.variable(field, "z1"),)
+    inner = _build(k - 1, r, field, tables, budget)
+    shift_table, select_table = (
+        tuple(tuple(SparsePoly.const(field, c) for c in part) for part in table)
+        for table in tables[k - 1]
+    )
+    lc_prev = z_count(k - 1, r)
     inner_names = seed_names(k - 1, r)
-    images: dict = {}
-    for name, t_comp in zip(inner_names, shift_components):
-        images[name] = SparsePoly.variable(field, name).add(t_comp)
-    shifted = tuple(comp.compose(images) for comp in inner.outputs)
-    select = selector_map(k, field, points)
-    halves = inner.outputs + shifted
-    outputs = tuple(select.outputs[j].add(halves[j]) for j in range(2**k))
-    return PolyMap(seed_names(k, r), outputs)
+    # inner seed j becomes s_j + sum_i y_i * H_j(y_{r+i}), y_i = z_{lc_prev+i}
+    images = {name: SparsePoly.variable(field, name) for name in inner_names}
+    for i in range(lc_prev + 1, lc_prev + r + 1):
+        y = SparsePoly.variable(field, f"z{i}")
+        control = SparsePoly.variable(field, f"z{i + r}")
+        for name, h in zip(inner_names, _basis_values(SparsePoly, shift_table, control)):
+            images[name] = images[name].add(y.mul(h))
+    shifted = tuple(comp.compose(images, budget=budget) for comp in inner)
+    u_k = SparsePoly.variable(field, f"u{k}")
+    tags = _basis_values(SparsePoly, select_table, SparsePoly.variable(field, f"v{k}"))
+    return tuple(u_k.mul(tag).add(half) for tag, half in zip(tags, inner + shifted))
 
 
 def eval_generator(params: GeneratorParams, assignment: Sequence) -> tuple:
@@ -280,27 +228,6 @@ def _eval(k: int, r: int, field: Field, tables: tuple, assignment: tuple) -> tup
     return tuple(
         field.add(field.mul(u_k, tag), half) for tag, half in zip(tags, first + second)
     )
-
-
-@dataclass(frozen=True)
-class DegreeBounds:
-    component_bound: int
-    composition_bound: int
-
-
-def degree_bounds(k: int, r: int) -> DegreeBounds:
-    """Per-variable degree bound for one component, and the safe bound for
-    compositions with a multilinear polynomial over 2^k variables.
-
-    The component bound multiplies, over the levels below k, the degree
-    growth of one shift step; a multilinear n-variate polynomial composed
-    with 2^k components multiplies it by at most 2^k.
-    """
-    prod = 1
-    for j in range(1, k):
-        m = seed_count(j, r)
-        prod *= m * (m - 1)
-    return DegreeBounds(component_bound=prod, composition_bound=(2**k) * prod)
 
 
 _SEED_DEGREE_CACHE: dict = {}
@@ -358,83 +285,3 @@ def seed_degree_bounds(k: int, r: int, n: int) -> tuple[int, ...]:
         )
         _SEED_DEGREE_CACHE[key] = got
     return got
-
-
-@dataclass(frozen=True)
-class DegreeAudit:
-    """Measured (or soundly bounded) per-variable degrees of each component."""
-
-    k: int
-    r: int
-    exact: bool
-    per_component: tuple[dict, ...]
-
-    def max_degree(self) -> int:
-        return max(
-            (max(d.values(), default=0) for d in self.per_component), default=0
-        )
-
-
-# levels up to this expand symbolically in well under a second
-_EXACT_AUDIT_LEVEL = 2
-
-
-def audit_component_degrees(params: GeneratorParams) -> DegreeAudit:
-    """Per-variable degrees of every component of the level-k map.
-
-    Levels <= 2 are expanded and measured exactly.  Level 3 reuses the exact
-    level-2 expansion and propagates degrees through the final shift step
-    monomial by monomial; that yields an upper bound (sound for checking the
-    bound of degree_bounds), since substitution can only cancel, never grow.
-    """
-    k, r, field, points = params.k, params.r, params.field, params.points
-    if k <= _EXACT_AUDIT_LEVEL:
-        pm = build_generator(params)
-        return DegreeAudit(
-            k, r, True, tuple(c.individual_degrees() for c in pm.outputs)
-        )
-    if k != _EXACT_AUDIT_LEVEL + 1:
-        raise StructureError(
-            f"degree audit supports levels up to {_EXACT_AUDIT_LEVEL + 1}, got {k}"
-        )
-    inner = build_generator(GeneratorParams(k - 1, r, field, points))
-    lc = z_count(k - 1, r)
-    shift = shift_map(k - 1, r, field, points)
-    y_of = {f"y{i}": f"z{lc + i}" for i in range(1, 2 * r + 1)}
-    # per-variable degrees of each substitution image z_i + T_i
-    image_degrees: dict[str, dict[str, int]] = {}
-    for name, comp in zip(seed_names(k - 1, r), shift.outputs):
-        degs: dict[str, int] = {name: 1}
-        for v, e in comp.individual_degrees().items():
-            w = y_of[v]
-            degs[w] = max(degs.get(w, 0), e)
-        image_degrees[name] = degs
-    select = selector_map(k, field, points)
-    per_component: list[dict] = []
-    width = 2**k
-    for j in range(width):
-        inner_comp = inner.outputs[j % len(inner.outputs)]
-        degs = dict(select.outputs[j].individual_degrees())
-        if j < len(inner.outputs):
-            for v, e in inner_comp.individual_degrees().items():
-                degs[v] = max(degs.get(v, 0), e)
-        else:
-            # composed copy: bound each variable over the monomials
-            for mono, _ in inner_comp.terms.items():
-                acc: dict[str, int] = {}
-                for v, e in mono:
-                    for w, d in image_degrees[v].items():
-                        acc[w] = acc.get(w, 0) + e * d
-                for w, d in acc.items():
-                    degs[w] = max(degs.get(w, 0), d)
-        per_component.append(degs)
-    return DegreeAudit(k, r, False, tuple(per_component))
-
-
-def y_alias(k: int, r: int, i: int) -> str:
-    """Name of the top-level translation input y_i (an alias into the z-block)."""
-    if k < 1:
-        raise StructureError("level 0 has no translation inputs")
-    if not 1 <= i <= 2 * r:
-        raise StructureError(f"alias index {i} out of range 1..{2 * r}")
-    return f"z{z_count(k - 1, r) + i}"

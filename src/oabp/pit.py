@@ -229,7 +229,8 @@ def compose_test(a: Abp, r: int, opts: PitOptions | None = None) -> PitVerdict:
     Runs the full pipeline: pass the promise gate (order, read bound,
     working field), reshape the program oblivious (a no-op on the
     polynomial), expand exactly, substitute the generator components by
-    rank, and inspect the result.
+    rank, and inspect the result.  opts.term_budget bounds the expansion,
+    every composition of the generator build, and the substitution.
     """
     opts = opts or PitOptions()
     prog, pi = _working_program(a, r, opts)
@@ -240,7 +241,7 @@ def compose_test(a: Abp, r: int, opts: PitOptions | None = None) -> PitVerdict:
     if prog.field is not a.field:
         note = f"composed over extension {prog.field.config.to_json()}"
     params = GeneratorParams.create(k, r, prog.field)
-    gen = build_generator(params)
+    gen = build_generator(params, budget=opts.term_budget)
     images = {i: gen.outputs[pi.rank(i) - 1] for i in range(1, n + 1)}
     composition = f.compose(images, budget=opts.term_budget)
     if composition.is_zero:

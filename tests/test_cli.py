@@ -221,13 +221,22 @@ def test_rank_needs_odd_variable_count(capsys, fixtures_dir):
 
 
 def test_gen_print_components(capsys):
-    code, out, _ = run(capsys, "gen", "--k", "1", "--r", "1", "--print")
+    code, out, _ = run(capsys, "gen", "--k", "1", "--r", "1")
     assert code == 0
     assert out == (
         "map with 5 seeds z1, z2, z3, u1, v1 and 2 outputs:\n"
         "G1 = z1 + u1 + -1*u1*v1\n"
         "G2 = z1 + z2 + u1*v1\n"
     )
+
+
+def test_gen_json_reports_seed_degree_bounds(capsys):
+    code, out, _ = run(capsys, "--json", "gen", "--k", "1", "--r", "1")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["seed_names"] == ["z1", "z2", "z3", "u1", "v1"]
+    assert payload["seed_degree_bounds"] == [2, 1, 0, 2, 2]
+    assert len(payload["components"]) == 2
 
 
 def test_gen_eval(capsys):

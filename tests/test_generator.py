@@ -6,21 +6,18 @@ from fractions import Fraction
 
 import pytest
 
-from oabp.errors import FieldError, StructureError
+from oabp.errors import BudgetError, FieldError, StructureError
 from oabp.fields import enumerate_points, extension_field, prime_field, rationals
 from oabp.generator import (
     GeneratorParams,
-    audit_component_degrees,
+    _barycentric,
+    _basis_values,
     build_generator,
-    degree_bounds,
     eval_generator,
     points_needed,
     seed_count,
     seed_degree_bounds,
     seed_names,
-    selector_map,
-    shift_map,
-    y_alias,
     z_count,
 )
 from oabp.poly import SparsePoly
@@ -44,13 +41,6 @@ def test_points_needed():
     assert points_needed(3, 1) == 13
     # 2^k dominates once the selector needs more interpolation nodes
     assert points_needed(4, 1) == max(seed_count(4, 1), 16)
-
-
-def test_y_alias():
-    assert y_alias(1, 1, 1) == "z2"
-    assert y_alias(1, 1, 2) == "z3"
-    assert y_alias(2, 1, 1) == "z4"
-    assert y_alias(2, 2, 1) == "z6"
 
 
 # frozen closed forms for level 1 on interpolation nodes (0, 1):
@@ -105,8 +95,8 @@ def test_eval_matches_symbolic(k, r):
 
 
 def test_eval_on_custom_nodes_matches_symbolic():
-    # barycentric tables are cached per point tuple; reversed and shuffled
-    # node sets must each get their own
+    # barycentric tables are computed from each params object's own points;
+    # reversed and shuffled node sets must each be used as given
     rng = random.Random(5)
     for field, k, r in ((Q, 2, 2), (extension_field(3, 2), 2, 1)):
         canonical = enumerate_points(field, points_needed(k, r))
@@ -166,38 +156,29 @@ def test_selector_picks_one_output():
         assert all(out[i] == 0 for i in range(4) if i != j)
 
 
-def test_shift_map_concentrates_on_one_component():
-    # with the control coordinate at interpolation node j-1, the translation
-    # hits component j alone, by the full shift amount
-    points = enumerate_points(Q, seed_count(1, 1))
-    sm = shift_map(1, 1, Q, points)
-    assert sm.n_outputs == seed_count(1, 1)
-    amount = Fraction(7)
-    for j in range(seed_count(1, 1)):
-        assign = {"y1": amount, "y2": points[j]}
-        values = [comp.evaluate(assign) for comp in sm.outputs]
-        assert values[j] == amount
-        assert all(v == 0 for i, v in enumerate(values) if i != j)
-
-
-def test_selector_map_is_lagrange_scaled():
-    points = enumerate_points(Q, 4)
-    sel = selector_map(2, Q, points)
-    u = Fraction(3)
-    for j in range(4):
-        assign = {"u2": u, "v2": points[j]}
-        values = [comp.evaluate(assign) for comp in sel.outputs]
-        assert values == [u if i == j else Fraction(0) for i in range(4)]
-
-
-def test_degree_bounds_frozen():
-    assert degree_bounds(1, 1).component_bound == 1
-    assert degree_bounds(1, 1).composition_bound == 2
-    assert degree_bounds(2, 1).component_bound == 20
-    assert degree_bounds(2, 1).composition_bound == 80
-    assert degree_bounds(2, 2).component_bound == 42
-    assert degree_bounds(3, 1).component_bound == 1440
-    assert degree_bounds(3, 2).component_bound == 6552
+def test_basis_values_match_direct_lagrange_product():
+    # the one Lagrange evaluator behind both eval_generator and
+    # build_generator, against prod_{j != i} (x - a_j) / (a_i - a_j)
+    F9 = extension_field(3, 2)
+    for field, extra in (
+        (Q, (Fraction(7, 3), Fraction(-50))),
+        (prime_field(10007), (10006, 4321)),
+        (F9, tuple(enumerate_points(F9, 9)[6:])),
+    ):
+        nodes = enumerate_points(field, 6)
+        for m in (1, 2, 6):
+            table = _barycentric(field, nodes[:m])
+            for x in nodes + extra:
+                want = []
+                for i, a_i in enumerate(nodes[:m]):
+                    value = field.one()
+                    for j, a_j in enumerate(nodes[:m]):
+                        if j != i:
+                            value = field.mul(
+                                value, field.div(field.sub(x, a_j), field.sub(a_i, a_j))
+                            )
+                    want.append(value)
+                assert _basis_values(field, table, x) == want, (field, m, x)
 
 
 def test_seed_degree_bounds_cover_exact_degrees():
@@ -234,28 +215,6 @@ def test_seed_degree_bounds_cover_exact_degrees():
         seed_degree_bounds(2, 1, 5)
 
 
-def test_degree_audit_exact_levels():
-    for k, r in ((1, 1), (1, 2), (2, 1), (2, 2)):
-        audit = audit_component_degrees(GeneratorParams.create(k, r, Q))
-        assert audit.exact
-        assert audit.max_degree() <= degree_bounds(k, r).component_bound
-    # frozen exact measurements
-    assert audit_component_degrees(GeneratorParams.create(2, 1, Q)).max_degree() == 8
-    assert audit_component_degrees(GeneratorParams.create(2, 2, Q)).max_degree() == 12
-
-
-def test_degree_audit_level_three_is_sound_bound():
-    for r in (1, 2):
-        audit = audit_component_degrees(GeneratorParams.create(3, r, Q))
-        assert not audit.exact
-        assert audit.max_degree() <= degree_bounds(3, r).component_bound
-
-
-def test_degree_audit_rejects_deeper_levels():
-    with pytest.raises(StructureError):
-        audit_component_degrees(GeneratorParams.create(4, 1, Q))
-
-
 def test_params_validation():
     with pytest.raises(StructureError):
         GeneratorParams.create(-1, 1, Q)
@@ -272,3 +231,6 @@ def test_build_cache_returns_same_object():
     a = build_generator(GeneratorParams.create(2, 1, Q))
     b = build_generator(GeneratorParams.create(2, 1, Q))
     assert a is b
+    # a map cached under the default budget does not let a smaller one through
+    with pytest.raises(BudgetError, match="term budget 10$"):
+        build_generator(GeneratorParams.create(2, 1, Q), budget=10)

@@ -1,5 +1,6 @@
 """Identity testing: hitset grid, exact composition, random probing."""
 
+import time
 from dataclasses import replace
 from fractions import Fraction
 from math import prod
@@ -31,6 +32,7 @@ from oabp.pit import (
     seed_grid_size,
 )
 from oabp.poly import SparsePoly
+from oabp.serialize import abp_loads
 
 Q = rationals()
 
@@ -158,6 +160,16 @@ def test_compose_witness_monomial_frozen():
 def test_compose_zero():
     member = next(m for m in standard_corpus() if m.zero)
     assert compose_test(member.abp, member.read_bound).verdict == "ZERO"
+
+
+def test_compose_term_budget_reaches_the_generator_build(fixtures_dir):
+    # five variables need the level-3, read-2 map, whose build outgrows a
+    # small budget long before the default one
+    a = abp_loads((fixtures_dir / "ordersep_2.abp.json").read_text())
+    start = time.perf_counter()
+    with pytest.raises(BudgetError, match=r"exceeds term budget 1000$"):
+        compose_test(a, 2, PitOptions(term_budget=1000))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_small_field_auto_extension():
