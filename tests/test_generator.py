@@ -156,6 +156,41 @@ def test_selector_picks_one_output():
         assert all(out[i] == 0 for i in range(4) if i != j)
 
 
+def _symbolic_basis(nodes, var):
+    # the Lagrange basis over nodes as polynomials in var, the way
+    # build_generator forms its shift images and slot tags
+    table = tuple(
+        tuple(SparsePoly.const(Q, c) for c in part) for part in _barycentric(Q, nodes)
+    )
+    return _basis_values(SparsePoly, table, SparsePoly.variable(Q, var))
+
+
+def test_shift_map_concentrates_on_one_component():
+    # with the control coordinate at interpolation node j-1, the translation
+    # y1 * H_j(y2) hits component j alone, by the full shift amount
+    points = enumerate_points(Q, seed_count(1, 1))
+    y1 = SparsePoly.variable(Q, "y1")
+    shift = [y1.mul(h) for h in _symbolic_basis(points, "y2")]
+    assert len(shift) == seed_count(1, 1)
+    amount = Fraction(7)
+    for j in range(seed_count(1, 1)):
+        assign = {"y1": amount, "y2": points[j]}
+        values = [comp.evaluate(assign) for comp in shift]
+        assert values[j] == amount
+        assert all(v == 0 for i, v in enumerate(values) if i != j)
+
+
+def test_selector_map_is_lagrange_scaled():
+    points = enumerate_points(Q, 4)
+    u2 = SparsePoly.variable(Q, "u2")
+    sel = [u2.mul(tag) for tag in _symbolic_basis(points, "v2")]
+    u = Fraction(3)
+    for j in range(4):
+        assign = {"u2": u, "v2": points[j]}
+        values = [comp.evaluate(assign) for comp in sel]
+        assert values == [u if i == j else Fraction(0) for i in range(4)]
+
+
 def test_basis_values_match_direct_lagrange_product():
     # the one Lagrange evaluator behind both eval_generator and
     # build_generator, against prod_{j != i} (x - a_j) / (a_i - a_j)
