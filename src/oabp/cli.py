@@ -58,7 +58,7 @@ from .pit import (
     random_probe,
     seed_grid_size,
 )
-from .poly import DEFAULT_TERM_BUDGET, SparsePoly
+from .poly import DEFAULT_TERM_BUDGET, SparsePoly, var_sort_key
 from .serialize import (
     abp_dumps,
     poly_dumps,
@@ -255,7 +255,7 @@ def cmd_stats(args, cfg: CliConfig, emitter: _Emitter) -> int:
             "kind": "poly",
             "terms": obj.num_terms,
             "total_degree": obj.total_degree(),
-            "variables": sorted(obj.variables(), key=str),
+            "variables": sorted(obj.variables(), key=var_sort_key),
             "multilinear": obj.is_multilinear(),
         }
         lines = [
@@ -273,7 +273,7 @@ def cmd_eval(args, cfg: CliConfig, emitter: _Emitter) -> int:
         point = _parse_point(field, args.point, obj.num_vars)
         value = evaluate(obj, point)
     else:
-        variables = sorted(obj.variables(), key=str)
+        variables = sorted(obj.variables(), key=var_sort_key)
         point = _parse_point(field, args.point, len(variables))
         value = obj.evaluate(dict(zip(variables, point)))
     emitter.emit(
@@ -356,7 +356,7 @@ def cmd_gen(args, cfg: CliConfig, emitter: _Emitter) -> int:
             [", ".join(field.element_to_text(v) for v in values)],
         )
         return 0
-    pm = build_generator(params)
+    pm = build_generator(params, budget=cfg.term_budget)
     payload = {
         "k": args.k,
         "r": args.r,

@@ -35,7 +35,7 @@ from .linalg import matrix_rank
 from .poly import SparsePoly
 
 DEFAULT_WEIGHT_PRIME = (1 << 31) - 1
-DEFAULT_MATRIX_VARS = 10  # 2^10 x 2^10 dense ranks stay tolerable
+DEFAULT_MATRIX_VARS = 10  # caps the 4^n cells a dense DerivMatrix allocates
 DEFAULT_SUBSET_CAP = 5  # permanent branches: 2^n subsets
 
 
@@ -87,10 +87,10 @@ class DerivMatrix:
     rows: tuple[tuple[Any, ...], ...]
 
 
-def deriv_matrix(p: SparsePoly, split: VarSplit, max_vars: int = DEFAULT_MATRIX_VARS) -> DerivMatrix:
+def deriv_matrix(p: SparsePoly, split: VarSplit) -> DerivMatrix:
     n = split.n
-    if n > max_vars:
-        raise BudgetError(f"split has {n} variable pairs, cap is {max_vars}")
+    if n > DEFAULT_MATRIX_VARS:
+        raise BudgetError(f"split has {n} variable pairs, cap is {DEFAULT_MATRIX_VARS}")
     if not p.is_multilinear():
         raise StructureError("coefficient matrix needs a multilinear polynomial")
     y_pos = {v: i for i, v in enumerate(split.y_vars)}
@@ -111,9 +111,9 @@ def deriv_matrix(p: SparsePoly, split: VarSplit, max_vars: int = DEFAULT_MATRIX_
     return DerivMatrix(split, tuple(tuple(r) for r in rows))
 
 
-def deriv_matrix_rank(p: SparsePoly, split: VarSplit, max_vars: int = DEFAULT_MATRIX_VARS) -> tuple[DerivMatrix, int]:
-    m = deriv_matrix(p, split, max_vars=max_vars)
-    return m, matrix_rank(p.field, [list(r) for r in m.rows])
+def deriv_matrix_rank(p: SparsePoly, split: VarSplit) -> tuple[DerivMatrix, int]:
+    m = deriv_matrix(p, split)
+    return m, matrix_rank(p.field, m.rows)
 
 
 def read_lower_bound(target: SparsePoly | Abp, pi: Permutation) -> int:

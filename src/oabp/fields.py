@@ -433,11 +433,11 @@ class ExtensionField(Field):
 
     def add(self, a, b):
         p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
+        return tuple([(x + y) % p for x, y in zip(a, b)])
 
     def neg(self, a):
         p = self.p
-        return tuple((-x) % p for x in a)
+        return tuple([(-x) % p for x in a])
 
     def mul(self, a, b):
         # schoolbook product; then, from the top coefficient t down to deg,
@@ -468,7 +468,6 @@ class ExtensionField(Field):
         s0, s1 = [], [1]
         while r1:
             # divide r0 by r1
-            q = []
             rem = list(r0)
             dm = len(r1) - 1
             lead_inv = pow(r1[-1], p - 2, p)

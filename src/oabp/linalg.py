@@ -1,49 +1,33 @@
-"""Exact Gaussian elimination over any Field.
+"""Exact Gaussian elimination over any Field: one sparse echelon.
 
-Two views: dense row-lists for coefficient matrices, and an incremental
-sparse span builder used when polynomials must be expressed as linear
-combinations of earlier ones.
+``SpanBuilder`` is the package's only elimination.  Vectors are sparse
+dicts (key -> nonzero field element), and every kept row is stored under
+its pivot, the smallest key of the row under ``key_order``.  To reduce a
+vector, take the smallest key of its residual; when a kept row has that
+pivot, subtract the multiple of the row that clears the key, else stop.
+A kept row has no key below its pivot, so each step clears the residual's
+smallest key and touches only larger keys: the smallest key strictly
+grows, and the loop ends after at most one step per kept row.  A nonzero
+residual is kept under its smallest key, which no kept row has as pivot.
+
+``matrix_rank`` feeds the rows of a dense matrix, keyed by column index,
+through a ``SpanBuilder``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from .fields import Field
 
 
-def matrix_rank(field: Field, rows: list[list]) -> int:
-    """Rank of a dense matrix; rows are consumed as a working copy."""
-    if not rows:
-        return 0
-    work = [list(r) for r in rows]
-    ncols = len(work[0])
+def matrix_rank(field: Field, rows: Sequence[Sequence]) -> int:
+    """Rank of a dense matrix given as a list of rows; rows are not modified."""
     zero = field.zero()
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(row, len(work)):
-            if work[r][col] != zero:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        work[row], work[pivot] = work[pivot], work[row]
-        inv = field.inv(work[row][col])
-        work[row] = [field.mul(c, inv) for c in work[row]]
-        for r in range(len(work)):
-            if r != row and work[r][col] != zero:
-                factor = work[r][col]
-                work[r] = [
-                    field.sub(c, field.mul(factor, pc))
-                    for c, pc in zip(work[r], work[row])
-                ]
-        row += 1
-        rank += 1
-        if row == len(work):
-            break
-    return rank
+    span = SpanBuilder(field, key_order=lambda col: col)
+    for i, row in enumerate(rows):
+        span.insert({col: c for col, c in enumerate(row) if c != zero}, i)
+    return span.rank
 
 
 class SpanBuilder:
@@ -57,9 +41,8 @@ class SpanBuilder:
     def __init__(self, field: Field, key_order: Callable[[Any], Any]):
         self.field = field
         self.key_order = key_order
-        # acts as echelon basis: list of (pivot_key, vector, combo_over_kept)
-        self.rows: list[tuple[Any, dict, dict]] = []
-        self.kept_tags: list[Any] = []
+        # echelon basis: pivot key -> (vector, combo over kept tags)
+        self.rows: dict[Any, tuple[dict, dict]] = {}
 
     @property
     def rank(self) -> int:
@@ -70,27 +53,25 @@ class SpanBuilder:
         zero = f.zero()
         residual = {k: v for k, v in vec.items() if v != zero}
         combo: dict = {}
-        changed = True
-        while changed and residual:
-            changed = False
+        while residual:
             pivot_key = min(residual, key=self.key_order)
-            for pk, row_vec, row_combo in self.rows:
-                if pk == pivot_key:
-                    c = f.div(residual[pivot_key], row_vec[pivot_key])
-                    for k, v in row_vec.items():
-                        nv = f.sub(residual.get(k, zero), f.mul(c, v))
-                        if nv == zero:
-                            residual.pop(k, None)
-                        else:
-                            residual[k] = nv
-                    for tag, v in row_combo.items():
-                        nv = f.add(combo.get(tag, zero), f.mul(c, v))
-                        if nv == zero:
-                            combo.pop(tag, None)
-                        else:
-                            combo[tag] = nv
-                    changed = True
-                    break
+            row = self.rows.get(pivot_key)
+            if row is None:
+                break
+            row_vec, row_combo = row
+            c = f.div(residual[pivot_key], row_vec[pivot_key])
+            for k, v in row_vec.items():
+                nv = f.sub(residual.get(k, zero), f.mul(c, v))
+                if nv == zero:
+                    residual.pop(k, None)
+                else:
+                    residual[k] = nv
+            for tag, v in row_combo.items():
+                nv = f.add(combo.get(tag, zero), f.mul(c, v))
+                if nv == zero:
+                    combo.pop(tag, None)
+                else:
+                    combo[tag] = nv
         return residual, combo
 
     def insert(self, vec: dict, tag: Any) -> dict | None:
@@ -103,6 +84,5 @@ class SpanBuilder:
         # residual = vec - sum combo[t] * kept_t
         combo_new = {t: f.neg(c) for t, c in combo.items()}
         combo_new[tag] = f.one()
-        self.rows.append((pivot_key, residual, combo_new))
-        self.kept_tags.append(tag)
+        self.rows[pivot_key] = (residual, combo_new)
         return None

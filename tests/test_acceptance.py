@@ -42,10 +42,10 @@ from oabp.generator import (
     seed_degree_bounds,
     seed_names,
 )
-from oabp.linalg import matrix_rank
 from oabp.pit import PitOptions, compose_test, hitset_test_abp, seed_grid_size
 from oabp.poly import SparsePoly
 from oabp.transforms import cut_decompose, derivative_abp, obliviate, reduce_independent
+from reference import coefficient_rank, pair_sum
 
 Q = rationals()
 
@@ -68,20 +68,6 @@ def criterion(label: str, budget: float):
         raise AssertionError(f"{label} exceeded its {budget:.0f}s budget")
     extra = f"; {info['note']}" if "note" in info else ""
     print(f"ACCEPTANCE {label} [exact]: PASS ({elapsed:.2f}s{extra})")
-
-
-def pair_sum(dec):
-    total = SparsePoly.zero(dec.left[0].field)
-    for l, r in zip(dec.left, dec.right):
-        total = total.add(l.mul(r))
-    return total
-
-
-def coefficient_rank(polys):
-    field = polys[0].field
-    monos = sorted({m for p in polys for m in p.terms}, key=str)
-    rows = [[p.terms.get(m, field.zero()) for m in monos] for p in polys]
-    return matrix_rank(field, rows)
 
 
 def test_c01_level_one_closed_form():

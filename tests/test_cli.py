@@ -2,10 +2,14 @@
 
 import json
 import pathlib
+from fractions import Fraction
 
 import pytest
 
 from oabp.cli import main
+from oabp.fields import rationals
+from oabp.poly import SparsePoly
+from oabp.serialize import poly_dumps
 
 
 def run(capsys, *args):
@@ -91,6 +95,18 @@ def test_eval_polynomial(capsys, fixtures_dir):
         capsys, "eval", fixtures_dir / "symm_3_2.poly.json", "--point", "5,7,11"
     )
     assert (code, out) == (0, "167\n")
+
+
+def test_eval_and_stats_order_polynomial_variables_by_index(capsys, tmp_path):
+    # x10 must come after x2, so the point's third coordinate lands on x10
+    terms = {((1, 1),): Fraction(100), ((2, 1),): Fraction(1), ((10, 1),): Fraction(10)}
+    poly = tmp_path / "p.poly.json"
+    poly.write_text(poly_dumps(SparsePoly(rationals(), terms)))
+    code, out, _ = run(capsys, "eval", poly, "--point", "1,2,3")
+    assert (code, out) == (0, "132\n")
+    code, out, _ = run(capsys, "--json", "stats", poly)
+    assert code == 0
+    assert json.loads(out)["variables"] == [1, 2, 10]
 
 
 def test_eval_wrong_arity(capsys, fixtures_dir):
@@ -237,6 +253,14 @@ def test_gen_json_reports_seed_degree_bounds(capsys):
     assert payload["seed_names"] == ["z1", "z2", "z3", "u1", "v1"]
     assert payload["seed_degree_bounds"] == [2, 1, 0, 2, 2]
     assert len(payload["components"]) == 2
+
+
+def test_gen_build_honours_the_config_term_budget(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"term_budget": 1000}')
+    code, _, err = run(capsys, "--config", cfg, "gen", "--k", "3", "--r", "1")
+    assert code == 2
+    assert err.rstrip().endswith("term budget 1000")
 
 
 def test_gen_eval(capsys):

@@ -177,7 +177,7 @@ def test_order_separation_program(n):
     assert check_order(fam.abp, fam.good_order)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_order_separation_ranks(n):
     fam = order_separation_family(n)
     assert read_lower_bound(fam.poly, fam.bad_order) == 2**n

@@ -3,8 +3,11 @@
 import random
 from fractions import Fraction
 
-from oabp.fields import prime_field, rationals
+import pytest
+
+from oabp.fields import extension_field, prime_field, rationals
 from oabp.linalg import SpanBuilder, matrix_rank
+from reference import dense_rank
 
 Q = rationals()
 
@@ -67,7 +70,61 @@ def test_span_builder_matches_matrix_rank():
             if sb.insert(dict(row), i) is None:
                 kept += 1
         dense = [[row.get(j, Fraction(0)) for j in range(n)] for row in rows]
-        assert kept == matrix_rank(Q, dense), f"trial {trial}"
+        assert kept == matrix_rank(Q, dense) == dense_rank(Q, dense), f"trial {trial}"
+
+
+def draw(field, rng):
+    """A random element, zero about a third of the time."""
+    if rng.random() < 0.35:
+        return field.zero()
+    size = field.size()
+    if size is None:
+        return field.from_int(rng.randint(-3, 3))
+    return field.element_at(rng.randrange(size))
+
+
+def shaped_matrices(field, rng):
+    """Empty, zero, repeated-row, dependent, wide and tall matrices."""
+    zero, one = field.zero(), field.one()
+    yield []
+    yield [[]]
+    yield [[zero] * 3 for _ in range(2)]
+    yield [[one, zero], [one, zero], [one, zero]]
+    for m, n in [(1, 1), (2, 7), (7, 2), (5, 5), (3, 9), (9, 3), (8, 8)]:
+        for _ in range(6):
+            rows = [[draw(field, rng) for _ in range(n)] for _ in range(m)]
+            if m > 1 and rng.random() < 0.5:
+                # a repeated row and a combination of two rows
+                i, j = rng.randrange(m), rng.randrange(m)
+                c = draw(field, rng)
+                rows.append(list(rows[i]))
+                rows.append([field.add(a, field.mul(c, b)) for a, b in zip(rows[i], rows[j])])
+                rng.shuffle(rows)
+            yield rows
+
+
+@pytest.mark.parametrize(
+    "field",
+    [Q, prime_field(5), extension_field(3, 2), extension_field(2, 3)],
+    ids=["Q", "F5", "F9", "F8"],
+)
+def test_ranks_match_the_dense_reference(field):
+    rng = random.Random(7)
+    for rows in shaped_matrices(field, rng):
+        want = dense_rank(field, rows)
+        snapshot = [list(r) for r in rows]
+        assert matrix_rank(field, rows) == want, rows
+        assert rows == snapshot  # the input is left as it was
+        sb = SpanBuilder(field, key_order=lambda k: -k)
+        for i, row in enumerate(rows):
+            combo = sb.insert({j: c for j, c in enumerate(row) if c != field.zero()}, i)
+            if combo is not None:
+                # a dependent row is the reported combination of kept rows
+                recon = [field.zero()] * len(row)
+                for tag, c in combo.items():
+                    recon = [field.add(a, field.mul(c, b)) for a, b in zip(recon, rows[tag])]
+                assert recon == row, rows
+        assert sb.rank == want, rows
 
 
 def test_span_builder_combo_reconstructs_vector():

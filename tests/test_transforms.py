@@ -23,7 +23,6 @@ from oabp.abp import (
 from oabp.corpus import standard_corpus
 from oabp.errors import StructureError
 from oabp.fields import rationals
-from oabp.linalg import matrix_rank
 from oabp.poly import SparsePoly
 from oabp.transforms import (
     cut_decompose,
@@ -31,23 +30,9 @@ from oabp.transforms import (
     obliviate,
     reduce_independent,
 )
+from reference import coefficient_rank, pair_sum
 
 Q = rationals()
-
-
-def pair_sum(dec):
-    total = SparsePoly.zero(dec.left[0].field)
-    for l, r in zip(dec.left, dec.right):
-        total = total.add(l.mul(r))
-    return total
-
-
-def coefficient_rank(polys):
-    """Rank of the coefficient matrix of a list of polynomials."""
-    field = polys[0].field
-    monos = sorted({m for p in polys for m in p.terms}, key=str)
-    rows = [[p.terms.get(m, field.zero()) for m in monos] for p in polys]
-    return matrix_rank(field, rows)
 
 
 # -- obliviate ----------------------------------------------------------------
