@@ -72,7 +72,7 @@ from .generator import (
     points_needed,
     seed_degree_bounds,
 )
-from .poly import DEFAULT_TERM_BUDGET
+from .poly import DEFAULT_TERM_BUDGET, mono_sort_key
 from .transforms import obliviate
 
 DEFAULT_GRID_BUDGET = 10**7
@@ -246,7 +246,7 @@ def compose_test(a: Abp, r: int, opts: PitOptions | None = None) -> PitVerdict:
     composition = f.compose(images, budget=opts.term_budget)
     if composition.is_zero:
         return PitVerdict("ZERO", "compose", note=note, field=prog.field)
-    witness_mono = composition.sorted_terms()[0][0]
+    witness_mono = min(composition.terms, key=mono_sort_key)
     return PitVerdict("NONZERO", "compose", witness=witness_mono, note=note, field=prog.field)
 
 

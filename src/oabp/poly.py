@@ -1,18 +1,26 @@
 """Sparse multivariate polynomials with exact coefficients.
 
 A polynomial is a map from monomials to nonzero field elements.  Monomials
-are tuples of (variable, exponent) pairs sorted by variable, exponents >= 1;
-the empty tuple is the constant monomial.  Variables come from two
-namespaces that never mix in practice:
+are tuples of (variable, exponent) pairs, exponents >= 1; the empty tuple is
+the constant monomial.  Variables come from two namespaces that never mix in
+practice:
 
 * program variables: 1-based ints (x_1 is plain 1)
 * generator seed variables: strings like "z3", "u1", "v2"
+
+Invariant: within a monomial the variables strictly increase under
+var_sort_key, so each monomial has exactly one spelling and equal monomials
+are equal tuples.  var_sort_key is injective for this reason: it ends in the
+raw name, so "z" and "z0" are distinct and ordered.  mono_mul relies on the
+invariant: it merges its two sorted factors in one linear pass, adding
+exponents where a variable occurs in both, and so keeps the invariant.
 
 Polynomials are immutable by convention; every operation returns a new one.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Any, Iterable, Mapping
 
 from .errors import BudgetError, StructureError
@@ -27,26 +35,44 @@ DEFAULT_TERM_BUDGET = 10**6
 _KIND_RANK = {"z": 0, "u": 1, "v": 2, "y": 3, "w": 4}
 
 
+@cache
 def var_sort_key(v: VarKey) -> tuple:
-    """Total order on variables: ints by value, then named seeds by kind/index."""
+    """Total order on variables: ints by value, then named seeds by kind/index.
+
+    Injective: the raw name breaks ties between names such as "z" and "z0".
+    Memoized; the cache holds one entry per distinct variable name.
+    """
     if isinstance(v, int):
         return (0, 0, v)
     head = v.rstrip("0123456789")
     tail = v[len(head):]
-    return (1, _KIND_RANK.get(head, 9), int(tail) if tail else 0, head)
+    return (1, _KIND_RANK.get(head, 9), int(tail) if tail else 0, head, v)
 
 
 def mono_mul(m1: Mono, m2: Mono) -> Mono:
+    """Product of two monomials: a linear merge of their sorted variables."""
     if not m1:
         return m2
     if not m2:
         return m1
-    merged: dict = {}
-    for v, e in m1:
-        merged[v] = e
-    for v, e in m2:
-        merged[v] = merged.get(v, 0) + e
-    return tuple(sorted(merged.items(), key=lambda it: var_sort_key(it[0])))
+    key = var_sort_key
+    out = []
+    i = j = 0
+    n1, n2 = len(m1), len(m2)
+    while i < n1 and j < n2:
+        v1, e1 = m1[i]
+        v2, e2 = m2[j]
+        if v1 == v2:
+            out.append((v1, e1 + e2))
+            i += 1
+            j += 1
+        elif key(v1) < key(v2):
+            out.append(m1[i])
+            i += 1
+        else:
+            out.append(m2[j])
+            j += 1
+    return tuple(out) + m1[i:] + m2[j:]
 
 
 def mono_degree(m: Mono) -> int:
@@ -171,15 +197,16 @@ class SparsePoly:
                 f"product of {self.num_terms} x {other.num_terms} terms "
                 f"exceeds term budget {budget}"
             )
+        fmul, fadd = f.mul, f.add
         acc: dict = {}
+        get = acc.get
+        right = list(other.terms.items())
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+            for m2, c2 in right:
                 m = mono_mul(m1, m2)
-                c = f.mul(c1, c2)
-                if m in acc:
-                    acc[m] = f.add(acc[m], c)
-                else:
-                    acc[m] = c
+                c = fmul(c1, c2)
+                prev = get(m)
+                acc[m] = c if prev is None else fadd(prev, c)
         return SparsePoly(f, acc)
 
     def pow_int(self, e: int, budget: int | None = None) -> "SparsePoly":

@@ -1,6 +1,6 @@
 """Independent references the tests compare the package against."""
 
-from oabp.poly import SparsePoly
+from oabp.poly import SparsePoly, var_sort_key
 
 
 def dense_rank(field, rows) -> int:
@@ -28,6 +28,20 @@ def dense_rank(field, rows) -> int:
         if rank == len(work):
             break
     return rank
+
+
+def mono_mul_reference(m1, m2):
+    """Product of two monomials: collect exponents in a dict, then sort."""
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    merged: dict = {}
+    for v, e in m1:
+        merged[v] = e
+    for v, e in m2:
+        merged[v] = merged.get(v, 0) + e
+    return tuple(sorted(merged.items(), key=lambda it: var_sort_key(it[0])))
 
 
 def pair_sum(dec) -> SparsePoly:

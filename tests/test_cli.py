@@ -109,6 +109,18 @@ def test_eval_and_stats_order_polynomial_variables_by_index(capsys, tmp_path):
     assert json.loads(out)["variables"] == [1, 2, 10]
 
 
+def test_stats_reads_one_monomial_in_any_variable_order(capsys, tmp_path):
+    # z*z0 - z0*z is the zero polynomial, whichever way the file spells the term
+    terms = [
+        {"coeff": "1", "exps": {"z": 1, "z0": 1}},
+        {"coeff": "-1", "exps": {"z0": 1, "z": 1}},
+    ]
+    poly = tmp_path / "zero.poly.json"
+    poly.write_text(json.dumps({"field": {"kind": "rational"}, "terms": terms}))
+    code, out, _ = run(capsys, "stats", poly)
+    assert (code, out) == (0, "polynomial over rational: 0 terms, total degree 0, multilinear True\n")
+
+
 def test_eval_wrong_arity(capsys, fixtures_dir):
     code, _, err = run(capsys, "eval", fixtures_dir / "x1x2.abp.json", "--point", "1")
     assert code == 2

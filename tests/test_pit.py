@@ -20,6 +20,7 @@ from oabp.abp import (
 from oabp.corpus import standard_corpus
 from oabp.errors import BudgetError, FieldError, StructureError
 from oabp.fields import extension_field, prime_field, rationals
+from oabp.generator import GeneratorParams, build_generator
 from oabp.pit import (
     PitOptions,
     abp_oracle,
@@ -33,6 +34,7 @@ from oabp.pit import (
 )
 from oabp.poly import SparsePoly
 from oabp.serialize import abp_loads
+from oabp.transforms import obliviate
 
 Q = rationals()
 
@@ -155,6 +157,17 @@ def test_compose_witness_monomial_frozen():
     assert v.mode == "compose"
     assert v.witness == (("z1", 1), ("z2", 1))
     assert v.note is None
+
+
+def test_compose_witness_is_the_least_monomial_of_the_composition():
+    nonzero = [m for m in standard_corpus() if not m.zero]
+    for m in nonzero[::10]:
+        a, n = m.abp, m.abp.num_vars
+        pi = resolve_order(a)
+        gen = build_generator(GeneratorParams.create(level_for(n), m.read_bound, a.field))
+        images = {i: gen.outputs[pi.rank(i) - 1] for i in range(1, n + 1)}
+        want = expand(obliviate(a, pi)).compose(images).sorted_terms()[0][0]
+        assert compose_test(a, m.read_bound).witness == want, m.name
 
 
 def test_compose_zero():

@@ -1,13 +1,17 @@
 """Sparse polynomial arithmetic against simple independent references."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from reference import mono_mul_reference
 
 from oabp.errors import BudgetError, StructureError
 from oabp.fields import prime_field, rationals
-from oabp.poly import SparsePoly, mono_sort_key, var_sort_key
+from oabp.generator import GeneratorParams, build_generator
+from oabp.poly import SparsePoly, mono_mul, mono_sort_key, var_sort_key
+from oabp.serialize import poly_from_json
 
 Q = rationals()
 
@@ -171,6 +175,75 @@ def test_var_sort_key_orders_ints_before_seed_names():
     names = ["z2", "u1", "v1", "y3", 2, 1, "z10"]
     ordered = sorted(names, key=var_sort_key)
     assert ordered == [1, 2, "z2", "z10", "u1", "v1", "y3"]
+
+
+# names that differ only in zero padding: each must still be its own variable
+PADDED = ["z", "z0", "z01", "z1"]
+POOL = [1, 2, 3, 7, 10, "z2", "z10", "u1", "u2", "v1", "v3", "y1", "w2", "w", "q1"] + PADDED
+
+
+def is_canonical(mono) -> bool:
+    """Variables strictly increase under var_sort_key, exponents >= 1."""
+    keys = [var_sort_key(v) for v, _ in mono]
+    return all(a < b for a, b in zip(keys, keys[1:])) and all(e >= 1 for _, e in mono)
+
+
+def random_mono(rng, pool=POOL, most=5):
+    vs = sorted(rng.sample(pool, rng.randint(0, most)), key=var_sort_key)
+    return tuple((v, rng.randint(1, 3)) for v in vs)
+
+
+def test_padded_seed_names_are_distinct_variables():
+    assert len({var_sort_key(v) for v in PADDED}) == len(PADDED)
+    assert sorted(PADDED, key=var_sort_key) == ["z", "z0", "z01", "z1"]
+    a = SparsePoly.variable(Q, "z")
+    b = SparsePoly.variable(Q, "z0")
+    assert a.mul(b).sub(b.mul(a)).is_zero
+    c = SparsePoly.variable(Q, "z01")
+    d = SparsePoly.variable(Q, "z1")
+    assert c.mul(d).sub(d.mul(c)).is_zero
+
+
+def test_mono_mul_matches_the_dict_and_sort_reference():
+    rng = random.Random(11)
+    small = ["z", "z0", "z01", 1, "u1"]  # a small pool makes shared variables common
+    for t in range(3000):
+        pool = small if t % 3 == 0 else POOL
+        m1, m2 = random_mono(rng, pool), random_mono(rng, pool)
+        got = mono_mul(m1, m2)
+        assert got == mono_mul_reference(m1, m2), (m1, m2)
+        assert got == mono_mul(m2, m1), (m1, m2)
+        assert is_canonical(got), got
+    one = (("z", 2), ("z0", 1))
+    assert mono_mul((), one) == one and mono_mul(one, ()) == one
+    assert mono_mul(one, one) == (("z", 4), ("z0", 2))
+
+
+def test_every_constructor_yields_canonical_monomials():
+    for k, r in itertools.product((1, 2), repeat=2):
+        gen = build_generator(GeneratorParams.create(k, r, Q))
+        assert all(is_canonical(m) for p in gen.outputs for m in p.terms), (k, r)
+    exps = {"3": 1, "1": 2, "z": 1, "z0": 1, "z01": 2, "u1": 1}
+    read = set()
+    for order in itertools.permutations(exps):
+        term = {"coeff": "1", "exps": {key: exps[key] for key in order}}
+        p = poly_from_json({"field": {"kind": "rational"}, "terms": [term]})
+        (mono,) = p.terms
+        assert is_canonical(mono), mono
+        read.add(mono)
+    assert len(read) == 1
+    rng = random.Random(12)
+    for _ in range(40):
+        terms = {random_mono(rng): Q.from_int(rng.randint(1, 5)) for _ in range(5)}
+        p = SparsePoly(Q, terms)
+        some = rng.sample(POOL, 4)
+        parts = [
+            p.substitute({v: Q.from_int(2) for v in some}),
+            p.derivative(some[0]),
+            p.compose({v: SparsePoly(Q, {random_mono(rng, PADDED, 2): Q.one()}) for v in p.variables()}),
+        ]
+        for q in parts:
+            assert all(is_canonical(m) for m in q.terms), q
 
 
 def test_mono_sort_key_graded():
