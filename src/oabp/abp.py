@@ -12,7 +12,13 @@ x_{pi^-1(1)}, ..., x_{pi^-1(n)}.
 
 Layer l holds the edges leaving level l, the index check_oblivious reports;
 each level-by-level walk here and in transforms groups edges into layers once
-per call (``_layers``).  ``_sweep``, the one dynamic-programming loop, carries
+per call.  ``_layers`` is the unchecked grouping, for walks that only read a
+program (evaluate, expand, prune, the order checks).  ``_valid_layers`` is
+the checked one: in the same pass it makes every check ``validate`` makes,
+and on any problem it raises ``require_valid``'s error, so ``validate`` stays
+the one place that words problems.  The transforms, which build new programs
+from a grouping, call it once in place of ``require_valid`` and ``_layers``.
+``_sweep``, the one dynamic-programming loop, carries
 a value from a start node layer by layer to a stop level: along the edges if
 that level is later, against them if earlier.  Each edge passes
 ``transfer(value, label)`` from its near to its far end (None drops it);
@@ -239,6 +245,48 @@ def _layers(a: Abp) -> list[list[Edge]]:
             raise StructureError(f"edge {e.src!r}->{e.dst!r} skips or leaves the levels")
         layers[lvl].append(e)
     return layers
+
+
+def _valid_layers(a: Abp) -> list[list[Edge]]:
+    """_layers for a program that passes validate, checked in the same pass.
+
+    On any problem validate would report, raises require_valid's error.
+    """
+    levels = a.levels
+    node_lv: dict[str, int] = {}
+    for i, lvl in enumerate(levels):
+        for node in lvl:
+            node_lv[node] = i
+    layers: list[list[Edge]] = [[] for _ in range(len(levels) - 1)]
+    if (
+        len(levels) >= 2
+        and len(levels[0]) == 1
+        and len(levels[-1]) == 1
+        and all(levels)
+        and len(node_lv) == sum(map(len, levels))  # no node id repeats
+        and (a.order is None or a.order.n == a.num_vars)
+    ):
+        level_of = node_lv.get
+        is_element = a.field.is_element
+        n = a.num_vars
+        passed = None  # the last label checked; edges often share one object
+        for e in a.edges:
+            lvl = level_of(e.src)
+            if lvl is None or level_of(e.dst) != lvl + 1:
+                break
+            label = e.label
+            if label is not passed:
+                if isinstance(label, VarLabel):
+                    if not 1 <= label.index <= n:
+                        break
+                elif not (isinstance(label, ConstLabel) and is_element(label.value)):
+                    break
+                passed = label
+            layers[lvl].append(e)
+        else:
+            return layers
+    require_valid(a)
+    raise AssertionError("validate passed a program _valid_layers refused")  # pragma: no cover
 
 
 def _sweep(
@@ -481,7 +529,12 @@ def prune(a: Abp) -> Abp:
     If nothing connects source to sink the canonical zero program is
     returned (the polynomial is the empty sum either way).
     """
-    layers = _layers(a)
+    return _pruned(a, _layers(a), a.edges)
+
+
+def _pruned(a: Abp, layers: list[list[Edge]], edges: Iterable[Edge]) -> Abp:
+    """prune on a grouping already made: layers give the reachability, and
+    the kept edges follow the order of edges (a.edges, or the layers)."""
     fwd: set[str] = {a.source}
     for layer in layers:
         for e in layer:
@@ -500,7 +553,7 @@ def prune(a: Abp) -> Abp:
     )
     if any(not lvl for lvl in new_levels):
         return zero_abp(a.field, a.num_vars, a.order)
-    new_edges = tuple(e for e in a.edges if e.src in keep and e.dst in keep)
+    new_edges = tuple(e for e in edges if e.src in keep and e.dst in keep)
     return Abp(a.field, a.num_vars, new_levels, new_edges, a.order)
 
 

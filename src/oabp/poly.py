@@ -15,7 +15,14 @@ raw name, so "z" and "z0" are distinct and ordered.  mono_mul relies on the
 invariant: it merges its two sorted factors in one linear pass, adding
 exponents where a variable occurs in both, and so keeps the invariant.
 
-Polynomials are immutable by convention; every operation returns a new one.
+SparsePoly values are immutable: nothing writes to a polynomial's terms
+after it is built.  An operation may therefore return an operand as its
+result (scale by one returns the polynomial itself), and scale by a nonzero
+constant and neg hand their freshly built dict to the polynomial without the
+copy and zero filter of the constructor: a field has no zero divisors, so
+those results hold no zero coefficient.  add and mul can cancel, so they
+keep a zero filter: add checks each sum it forms, mul goes through the
+constructor.
 """
 
 from __future__ import annotations
@@ -97,6 +104,16 @@ class SparsePoly:
         self.field = field
         self.terms = clean
 
+    @classmethod
+    def _from_nonzero(cls, field: Field, terms: dict) -> "SparsePoly":
+        """A polynomial that takes terms as its own, without the constructor's
+        copy and zero filter: no coefficient may be zero, and the caller
+        keeps no other reference to the dict."""
+        p = cls.__new__(cls)
+        p.field = field
+        p.terms = terms
+        return p
+
     # -- constructors -------------------------------------------------------
 
     @classmethod
@@ -168,26 +185,37 @@ class SparsePoly:
     def add(self, other: "SparsePoly") -> "SparsePoly":
         self._check_same_field(other)
         f = self.field
+        fadd, zero = f.add, f.zero()
         acc = dict(self.terms)
+        get = acc.get
         for mono, coeff in other.terms.items():
-            if mono in acc:
-                acc[mono] = f.add(acc[mono], coeff)
-            else:
+            prev = get(mono)
+            if prev is None:
                 acc[mono] = coeff
-        return SparsePoly(f, acc)
+            else:
+                c = fadd(prev, coeff)
+                if c == zero:  # only a sum of two terms can cancel
+                    del acc[mono]
+                else:
+                    acc[mono] = c
+        return SparsePoly._from_nonzero(f, acc)
 
     def neg(self) -> "SparsePoly":
         f = self.field
-        return SparsePoly(f, {m: f.neg(c) for m, c in self.terms.items()})
+        neg = f.neg
+        return SparsePoly._from_nonzero(f, {m: neg(c) for m, c in self.terms.items()})
 
     def sub(self, other: "SparsePoly") -> "SparsePoly":
         return self.add(other.neg())
 
     def scale(self, c) -> "SparsePoly":
         f = self.field
+        if c == f.one():
+            return self
         if c == f.zero():
             return SparsePoly(f)
-        return SparsePoly(f, {m: f.mul(co, c) for m, co in self.terms.items()})
+        mul = f.mul
+        return SparsePoly._from_nonzero(f, {m: mul(co, c) for m, co in self.terms.items()})
 
     def mul(self, other: "SparsePoly", budget: int | None = None) -> "SparsePoly":
         self._check_same_field(other)

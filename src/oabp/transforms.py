@@ -21,13 +21,12 @@ from .abp import (
     Edge,
     Permutation,
     VarLabel,
-    _layers,
     _oblivious_report,
     _poly_transfer,
+    _pruned,
     _sweep,
+    _valid_layers,
     expand,  # noqa: F401 - a lookup site the benchmark tracer wraps
-    prune,
-    require_valid,
     resolve_order,
     zero_abp,
 )
@@ -72,12 +71,11 @@ def obliviate(a: Abp, pi: Permutation | None = None) -> Abp:
     stay in place, keeping the edge mapping one-to-one.  Apply prune() to
     the result if compactness matters more than exact read counts.
     """
-    require_valid(a)
+    layers = _valid_layers(a)
     pi = resolve_order(a, pi)
     f = a.field
     zero = f.zero()
     n = a.num_vars
-    layers = _layers(a)
     nodes = [node for lvl in a.levels for node in lvl]
 
     # constant-only weights from the source and from every variable-edge target
@@ -105,6 +103,7 @@ def obliviate(a: Abp, pi: Permutation | None = None) -> Abp:
 
     levels: list[list[str]] = [["src"]]
     edges: list[Edge] = []
+    one = ConstLabel(f.one())  # shared, so _valid_layers checks it once per run of ferries
 
     # source feeds the rank-1 carry level with constant-only path weights
     levels.append([carry(v, 1) for v in nodes])
@@ -124,14 +123,13 @@ def obliviate(a: Abp, pi: Permutation | None = None) -> Abp:
         levels.append([landing(d, i) for d in landing_dsts] + [ferry(v, i) for v in nodes])
         for e in var_edges_by_rank.get(i, ()):
             edges.append(Edge(carry(e.src, i), landing(e.dst, i), e.label))
-        one = f.one()
         for v in nodes:
-            edges.append(Edge(carry(v, i), ferry(v, i), ConstLabel(one)))
+            edges.append(Edge(carry(v, i), ferry(v, i), one))
         # next carry level: ferries keep their value, landings fan out along
         # constant-only paths of the original program
         levels.append([carry(v, i + 1) for v in nodes])
         for v in nodes:
-            edges.append(Edge(ferry(v, i), carry(v, i + 1), ConstLabel(one)))
+            edges.append(Edge(ferry(v, i), carry(v, i + 1), one))
         for w_node in landing_dsts:
             for v in nodes:
                 cw = const_from[w_node].get(v, zero)
@@ -153,10 +151,10 @@ def derivative_abp(a: Abp, i: int) -> Abp:
     Requires x_i to be read in exactly one layer (so the program is linear
     in x_i).  In that layer the variable edges become constant-1 edges and
     the constant edges disappear; every other layer is untouched.  If x_i is
-    never read the derivative is the zero program.
+    never read the derivative is the zero program.  The rewritten grouping is
+    pruned as it stands; no intermediate program is built.
     """
-    require_valid(a)
-    grouped = _layers(a)
+    grouped = _valid_layers(a)
     rep = _oblivious_report(grouped)
     if not rep.ok:
         raise StructureError(f"program is not oblivious: {rep.problem}")
@@ -173,8 +171,7 @@ def derivative_abp(a: Abp, i: int) -> Abp:
     grouped[layer] = [
         Edge(e.src, e.dst, one) for e in grouped[layer] if isinstance(e.label, VarLabel)
     ]
-    new_edges = [e for edges in grouped for e in edges]
-    return prune(Abp(a.field, a.num_vars, a.levels, tuple(new_edges), a.order))
+    return _pruned(a, grouped, (e for edges in grouped for e in edges))
 
 
 @dataclass
@@ -206,12 +203,11 @@ def cut_decompose(a: Abp, level: int) -> Decomposition:
     must separate the variables: a variable read both before and after the
     cut is rejected.
     """
-    require_valid(a)
+    layers = _valid_layers(a)
     if not 0 < level < len(a.levels) - 1:
         raise StructureError(
             f"cut level must be interior (1..{len(a.levels) - 2}), got {level}"
         )
-    layers = _layers(a)
     before_vars = set()
     after_vars = set()
     for lvl, edges in enumerate(layers):

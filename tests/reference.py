@@ -1,6 +1,93 @@
-"""Independent references the tests compare the package against."""
+"""Independent references the tests compare the package against, and the
+presentations of one program that they compare on."""
 
+from oabp.abp import (
+    Abp,
+    ConstLabel,
+    Edge,
+    VarLabel,
+    _layers,
+    _oblivious_report,
+    prune,
+    require_valid,
+    zero_abp,
+)
+from oabp.errors import StructureError
 from oabp.poly import SparsePoly, var_sort_key
+
+
+def renamed_reversed(a):
+    """The same program with fresh node names and its edge list reversed."""
+    nodes = [v for lvl in a.levels for v in lvl]
+    name = {v: f"v{len(nodes) - i}" for i, v in enumerate(nodes)}
+    return Abp(
+        a.field,
+        a.num_vars,
+        tuple(tuple(name[v] for v in lvl) for lvl in a.levels),
+        tuple(Edge(name[e.src], name[e.dst], e.label) for e in reversed(a.edges)),
+        a.order,
+    )
+
+
+def renamed_shuffled(a, rng):
+    """The same program with fresh node names and its edges in rng's order."""
+    nodes = [v for lvl in a.levels for v in lvl]
+    fresh = [f"n{i}" for i in range(len(nodes))]
+    rng.shuffle(fresh)
+    name = dict(zip(nodes, fresh))
+    edges = [Edge(name[e.src], name[e.dst], e.label) for e in a.edges]
+    rng.shuffle(edges)
+    return Abp(
+        a.field,
+        a.num_vars,
+        tuple(tuple(name[v] for v in lvl) for lvl in a.levels),
+        tuple(edges),
+        a.order,
+    )
+
+
+def derivative_abp_reference(a, i):
+    """Derivative of an oblivious program in x_i by building the rewired
+    program whole and pruning it: validate, group, rewrite, prune."""
+    require_valid(a)
+    grouped = _layers(a)
+    rep = _oblivious_report(grouped)
+    if not rep.ok:
+        raise StructureError(f"program is not oblivious: {rep.problem}")
+    layers = [l for l, v in enumerate(rep.layer_vars) if v == i]
+    if not layers:
+        return zero_abp(a.field, a.num_vars, a.order)
+    if len(layers) > 1:
+        raise StructureError(
+            f"x_{i} is read in layers {layers}; single-layer reads required"
+        )
+    layer = layers[0]
+    one = ConstLabel(a.field.one())
+    grouped[layer] = [
+        Edge(e.src, e.dst, one) for e in grouped[layer] if isinstance(e.label, VarLabel)
+    ]
+    new_edges = [e for edges in grouped for e in edges]
+    return prune(Abp(a.field, a.num_vars, a.levels, tuple(new_edges), a.order))
+
+
+def prune_edges_reference(a):
+    """The edges prune keeps, in a.edges order: those on a source-to-sink
+    path, found by repeated scans of the edge list to a fixed point."""
+    fwd, bwd = {a.source}, {a.sink}
+    grown = True
+    while grown:
+        grown = False
+        for e in a.edges:
+            if e.src in fwd and e.dst not in fwd:
+                fwd.add(e.dst)
+                grown = True
+            if e.dst in bwd and e.src not in bwd:
+                bwd.add(e.src)
+                grown = True
+    live = fwd & bwd
+    if any(live.isdisjoint(lvl) for lvl in a.levels):
+        return ()  # prune returns the zero program
+    return tuple(e for e in a.edges if e.src in live and e.dst in live)
 
 
 def dense_rank(field, rows) -> int:

@@ -11,6 +11,8 @@ from oabp.abp import (
     Edge,
     Permutation,
     VarLabel,
+    _layers,
+    _valid_layers,
     check_oblivious,
     check_order,
     evaluate,
@@ -19,6 +21,7 @@ from oabp.abp import (
     lift_constants,
     make_abp,
     prune,
+    require_valid,
     restrict,
     stats,
     validate,
@@ -28,6 +31,8 @@ from oabp.corpus import standard_corpus
 from oabp.errors import BudgetError, StructureError
 from oabp.fields import extension_field, prime_field, rationals
 from oabp.poly import SparsePoly
+from oabp.transforms import cut_decompose, derivative_abp, obliviate
+from reference import renamed_reversed
 
 Q = rationals()
 
@@ -54,47 +59,135 @@ def test_valid_program_has_no_problems():
     assert validate(two_path()) == []
 
 
-def test_validate_flags_unknown_node():
-    a = make_abp(Q, 1, [["s"], ["t"]], [("s", "ghost", VarLabel(1))])
-    assert any("unknown node" in p for p in validate(a))
+def unknown_node() -> Abp:
+    return make_abp(Q, 1, [["s"], ["t"]], [("s", "ghost", VarLabel(1))])
 
 
-def test_validate_flags_level_skip():
-    a = Abp(
+def level_skip() -> Abp:
+    return Abp(
         Q,
         1,
         (("s",), ("m",), ("t",)),
         (Edge("s", "t", VarLabel(1)), Edge("s", "m", ConstLabel(Fraction(1))), Edge("m", "t", ConstLabel(Fraction(1)))),
         None,
     )
-    assert any("spans levels" in p for p in validate(a))
+
+
+def bad_variable_index() -> Abp:
+    return make_abp(Q, 1, [["s"], ["t"]], [("s", "t", VarLabel(2))])
+
+
+def duplicate_node_and_empty_level() -> Abp:
+    return Abp(Q, 1, (("s",), (), ("s",)), (), None)
+
+
+def multi_node_endpoints() -> Abp:
+    return Abp(Q, 1, (("s", "s2"), ("t",)), (Edge("s", "t", VarLabel(1)),), None)
+
+
+def foreign_constant() -> Abp:
+    return make_abp(Q, 1, [["s"], ["t"]], [("s", "t", ConstLabel(0.5))])
+
+
+def order_arity() -> Abp:
+    return Abp(Q, 2, (("s",), ("t",)), (Edge("s", "t", VarLabel(1)),), Permutation.identity(3))
+
+
+def test_validate_flags_unknown_node():
+    assert any("unknown node" in p for p in validate(unknown_node()))
+
+
+def test_validate_flags_level_skip():
+    assert any("spans levels" in p for p in validate(level_skip()))
 
 
 def test_validate_flags_bad_variable_index():
-    a = make_abp(Q, 1, [["s"], ["t"]], [("s", "t", VarLabel(2))])
-    assert any("num_vars" in p for p in validate(a))
+    assert any("num_vars" in p for p in validate(bad_variable_index()))
 
 
 def test_validate_flags_duplicate_node_and_empty_level():
-    a = Abp(Q, 1, (("s",), (), ("s",)), (), None)
-    problems = validate(a)
+    problems = validate(duplicate_node_and_empty_level())
     assert any("empty" in p for p in problems)
     assert any("appears in levels" in p for p in problems)
 
 
 def test_validate_flags_multi_node_endpoints():
-    a = Abp(Q, 1, (("s", "s2"), ("t",)), (Edge("s", "t", VarLabel(1)),), None)
-    assert any("source level" in p for p in validate(a))
+    assert any("source level" in p for p in validate(multi_node_endpoints()))
 
 
 def test_validate_flags_foreign_constant():
-    a = make_abp(Q, 1, [["s"], ["t"]], [("s", "t", ConstLabel(0.5))])
-    assert any("not a field element" in p for p in validate(a))
+    assert any("not a field element" in p for p in validate(foreign_constant()))
 
 
 def test_validate_flags_order_arity():
-    a = Abp(Q, 2, (("s",), ("t",)), (Edge("s", "t", VarLabel(1)),), Permutation.identity(3))
-    assert any("declared order" in p for p in validate(a))
+    assert any("declared order" in p for p in validate(order_arity()))
+
+
+def one_level() -> Abp:
+    return Abp(Q, 1, (("s",),), (), None)
+
+
+def two_sinks() -> Abp:
+    return Abp(Q, 1, (("s",), ("t", "t2")), (Edge("s", "t", VarLabel(1)),), None)
+
+
+def unknown_label_type() -> Abp:
+    return Abp(Q, 1, (("s",), ("t",)), (Edge("s", "t", "x1"),), None)
+
+
+def empty_level() -> Abp:
+    return Abp(Q, 1, (("s",), (), ("t",)), (), None)
+
+
+def duplicate_node() -> Abp:
+    return Abp(Q, 1, (("s",), ("m",), ("s",)), (), None)
+
+
+def variable_index_zero() -> Abp:
+    return make_abp(Q, 1, [["s"], ["t"]], [("s", "t", VarLabel(0))])
+
+
+# every program the test_validate_flags_* tests use, and one per problem
+# that none of them has alone
+INVALID_PROGRAMS = [
+    unknown_node,
+    level_skip,
+    bad_variable_index,
+    duplicate_node_and_empty_level,
+    multi_node_endpoints,
+    foreign_constant,
+    order_arity,
+    one_level,
+    two_sinks,
+    unknown_label_type,
+    empty_level,
+    duplicate_node,
+    variable_index_zero,
+]
+
+
+@pytest.mark.parametrize("build", INVALID_PROGRAMS)
+def test_checked_grouping_refuses_with_require_valid_text(build):
+    a = build()
+    with pytest.raises(StructureError) as want:
+        require_valid(a)
+    refusers = (
+        _valid_layers,
+        obliviate,
+        lambda a: derivative_abp(a, 1),
+        lambda a: cut_decompose(a, 1),
+    )
+    for refuse in refusers:
+        with pytest.raises(StructureError) as got:
+            refuse(a)
+        assert str(got.value) == str(want.value)
+
+
+def test_checked_grouping_matches_unchecked_on_valid_programs():
+    for member in standard_corpus()[::3]:
+        for a in (member.abp, renamed_reversed(member.abp), obliviate(member.abp)):
+            assert validate(a) == []
+            assert _valid_layers(a) == _layers(a), member.name
 
 
 # -- permutations -------------------------------------------------------------

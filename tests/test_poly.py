@@ -64,6 +64,23 @@ def test_add_mul_against_evaluation():
         assert p.neg().evaluate(point) == -p.evaluate(point)
 
 
+@pytest.mark.parametrize("field", [Q, prime_field(3)], ids=["Q", "F3"])
+def test_operations_leave_operands_unchanged(field):
+    # results may share an operand's terms, so no operation may write to them
+    rng = random.Random(9)
+    one = field.one()
+    for _ in range(60):
+        p, q = random_poly(field, rng), random_poly(field, rng)
+        before = [list(p.terms.items()), list(q.terms.items())]
+        c = field.from_int(rng.randint(-3, 3))
+        results = [p.add(q), p.add(p.neg()), p.mul(q), p.scale(c), p.scale(one), p.neg(), p.sub(q)]
+        assert [list(p.terms.items()), list(q.terms.items())] == before
+        assert p.scale(one) == p
+        assert p.add(p.neg()).is_zero
+        for r in results:
+            assert field.zero() not in r.terms.values()
+
+
 def test_operators_match_methods():
     rng = random.Random(6)
     p = random_poly(Q, rng)

@@ -1,14 +1,16 @@
 """Obliviation, derivatives, cut decomposition, independence reduction."""
 
+import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+import oabp.abp
+import oabp.transforms
 from oabp.abp import (
-    Abp,
     ConstLabel,
-    Edge,
     Permutation,
     VarLabel,
     check_oblivious,
@@ -22,15 +24,24 @@ from oabp.abp import (
 )
 from oabp.corpus import standard_corpus
 from oabp.errors import StructureError
+from oabp.families import ryser_permanent_abp
 from oabp.fields import rationals
 from oabp.poly import SparsePoly
+from oabp.serialize import abp_dumps
 from oabp.transforms import (
     cut_decompose,
     derivative_abp,
     obliviate,
     reduce_independent,
 )
-from reference import coefficient_rank, pair_sum
+from reference import (
+    coefficient_rank,
+    derivative_abp_reference,
+    pair_sum,
+    prune_edges_reference,
+    renamed_reversed,
+    renamed_shuffled,
+)
 
 Q = rationals()
 
@@ -136,6 +147,54 @@ def test_derivative_needs_single_layer_reads():
     )
     with pytest.raises(StructureError):
         derivative_abp(a, 1)
+
+
+def test_derivative_matches_the_build_then_prune_reference():
+    programs = [(m.name, obliviate(m.abp)) for m in standard_corpus()]
+    programs.append(("ryser_4", obliviate(ryser_permanent_abp(4))))
+    for name, b in programs:
+        for i in range(1, b.num_vars + 1):
+            got, want = derivative_abp(b, i), derivative_abp_reference(b, i)
+            assert got == want, (name, i)
+            assert abp_dumps(got) == abp_dumps(want), (name, i)
+
+
+def test_prune_keeps_edge_order_on_shuffled_presentations():
+    rng = random.Random(23)
+    dropped = 0
+    for member in standard_corpus()[::4]:
+        for a in (member.abp, obliviate(member.abp)):
+            b = renamed_shuffled(a, rng)
+            kept = prune(b).edges
+            assert kept == prune_edges_reference(b), member.name
+            dropped += len(b.edges) - len(kept)
+    assert dropped > 0  # the sample has dead branches to drop
+
+
+def count_calls(monkeypatch, module, name, calls):
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted, raising=False)
+
+
+def test_derivative_and_cut_group_the_program_once(monkeypatch):
+    b = obliviate(ryser_permanent_abp(3))
+    layer_of = {x: l for l, x in enumerate(check_oblivious(b).layer_vars) if x is not None}
+    calls = Counter()
+    count_calls(monkeypatch, oabp.transforms, "_valid_layers", calls)
+    for name in ("_layers", "validate"):
+        count_calls(monkeypatch, oabp.abp, name, calls)
+        # a transform that imported the name would look it up here
+        monkeypatch.setattr(oabp.transforms, name, getattr(oabp.abp, name), raising=False)
+    d = derivative_abp(b, 2)
+    assert calls == {"_valid_layers": 1}
+    calls.clear()
+    cut_decompose(d, layer_of[2] + 1)
+    assert calls == {"_valid_layers": 1}
 
 
 # -- cut decomposition --------------------------------------------------------
@@ -244,19 +303,6 @@ def test_reduce_rejects_zero_sum():
 
 
 # -- edge order -----------------------------------------------------------------
-
-
-def renamed_reversed(a):
-    """The same program with fresh node names and its edge list reversed."""
-    nodes = [v for lvl in a.levels for v in lvl]
-    name = {v: f"v{len(nodes) - i}" for i, v in enumerate(nodes)}
-    return Abp(
-        a.field,
-        a.num_vars,
-        tuple(tuple(name[v] for v in lvl) for lvl in a.levels),
-        tuple(Edge(name[e.src], name[e.dst], e.label) for e in reversed(a.edges)),
-        a.order,
-    )
 
 
 def test_results_do_not_depend_on_edge_order():
