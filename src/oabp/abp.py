@@ -14,10 +14,10 @@ Layer l holds the edges leaving level l, the index check_oblivious reports;
 each level-by-level walk here and in transforms groups edges into layers once
 per call.  ``_layers`` is the unchecked grouping, for walks that only read a
 program (evaluate, expand, prune, the order checks).  ``_valid_layers`` is
-the checked one: in the same pass it makes every check ``validate`` makes,
-and on any problem it raises ``require_valid``'s error, so ``validate`` stays
-the one place that words problems.  The transforms, which build new programs
-from a grouping, call it once in place of ``require_valid`` and ``_layers``.
+the checked one: ``_check`` makes validate's checks and groups the edges in
+one pass, and ``_valid_layers`` raises StructureError listing the problems
+if there are any.  The transforms, which build new programs from a
+grouping, call it once.
 ``_sweep``, the one dynamic-programming loop, carries
 a value from a start node layer by layer to a stop level: along the edges if
 that level is later, against them if earlier.  Each edge passes
@@ -169,10 +169,16 @@ class AbpStats:
 
 def validate(a: Abp) -> list[str]:
     """Structural check; returns a list of violations (empty means valid)."""
+    return _check(a)[0]
+
+
+def _check(a: Abp) -> tuple[list[str], list[list[Edge]]]:
+    """validate's problems, and the edges of each layer in a.edges order
+    (complete only when there are no problems)."""
     problems: list[str] = []
     if len(a.levels) < 2:
         problems.append("need at least two levels (source and sink)")
-        return problems
+        return problems, []
     if len(a.levels[0]) != 1:
         problems.append(f"source level has {len(a.levels[0])} nodes, want 1")
     if len(a.levels[-1]) != 1:
@@ -185,24 +191,28 @@ def validate(a: Abp) -> list[str]:
             if node in seen:
                 problems.append(f"node id {node!r} appears in levels {seen[node]} and {i}")
             seen[node] = i
+    layers: list[list[Edge]] = [[] for _ in range(a.depth)]
+    is_element = a.field.is_element
     for e in a.edges:
         if e.src not in seen or e.dst not in seen:
             problems.append(f"edge {e.src!r}->{e.dst!r} references unknown node")
             continue
-        if seen[e.dst] != seen[e.src] + 1:
-            problems.append(
-                f"edge {e.src!r}->{e.dst!r} spans levels {seen[e.src]}->{seen[e.dst]}"
-            )
-        if isinstance(e.label, VarLabel):
-            if not 1 <= e.label.index <= a.num_vars:
+        lvl = seen[e.src]
+        if seen[e.dst] != lvl + 1:
+            problems.append(f"edge {e.src!r}->{e.dst!r} spans levels {lvl}->{seen[e.dst]}")
+        else:
+            layers[lvl].append(e)
+        label = e.label
+        if isinstance(label, VarLabel):
+            if not 1 <= label.index <= a.num_vars:
                 problems.append(
-                    f"edge {e.src!r}->{e.dst!r} uses x_{e.label.index}, "
+                    f"edge {e.src!r}->{e.dst!r} uses x_{label.index}, "
                     f"but num_vars = {a.num_vars}"
                 )
-        elif isinstance(e.label, ConstLabel):
-            if not a.field.is_element(e.label.value):
+        elif isinstance(label, ConstLabel):
+            if not is_element(label.value):
                 problems.append(
-                    f"edge {e.src!r}->{e.dst!r} constant {e.label.value!r} "
+                    f"edge {e.src!r}->{e.dst!r} constant {label.value!r} "
                     f"is not a field element"
                 )
         else:
@@ -211,13 +221,7 @@ def validate(a: Abp) -> list[str]:
         problems.append(
             f"declared order is over {a.order.n} variables, program has {a.num_vars}"
         )
-    return problems
-
-
-def require_valid(a: Abp) -> None:
-    problems = validate(a)
-    if problems:
-        raise StructureError("invalid program: " + "; ".join(problems))
+    return problems, layers
 
 
 def stats(a: Abp) -> AbpStats:
@@ -248,45 +252,12 @@ def _layers(a: Abp) -> list[list[Edge]]:
 
 
 def _valid_layers(a: Abp) -> list[list[Edge]]:
-    """_layers for a program that passes validate, checked in the same pass.
-
-    On any problem validate would report, raises require_valid's error.
-    """
-    levels = a.levels
-    node_lv: dict[str, int] = {}
-    for i, lvl in enumerate(levels):
-        for node in lvl:
-            node_lv[node] = i
-    layers: list[list[Edge]] = [[] for _ in range(len(levels) - 1)]
-    if (
-        len(levels) >= 2
-        and len(levels[0]) == 1
-        and len(levels[-1]) == 1
-        and all(levels)
-        and len(node_lv) == sum(map(len, levels))  # no node id repeats
-        and (a.order is None or a.order.n == a.num_vars)
-    ):
-        level_of = node_lv.get
-        is_element = a.field.is_element
-        n = a.num_vars
-        passed = None  # the last label checked; edges often share one object
-        for e in a.edges:
-            lvl = level_of(e.src)
-            if lvl is None or level_of(e.dst) != lvl + 1:
-                break
-            label = e.label
-            if label is not passed:
-                if isinstance(label, VarLabel):
-                    if not 1 <= label.index <= n:
-                        break
-                elif not (isinstance(label, ConstLabel) and is_element(label.value)):
-                    break
-                passed = label
-            layers[lvl].append(e)
-        else:
-            return layers
-    require_valid(a)
-    raise AssertionError("validate passed a program _valid_layers refused")  # pragma: no cover
+    """_layers for a program that passes validate, checked in the same pass;
+    raises StructureError listing validate's problems otherwise."""
+    problems, layers = _check(a)
+    if problems:
+        raise StructureError("invalid program: " + "; ".join(problems))
+    return layers
 
 
 def _sweep(

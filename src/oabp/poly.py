@@ -18,11 +18,12 @@ exponents where a variable occurs in both, and so keeps the invariant.
 SparsePoly values are immutable: nothing writes to a polynomial's terms
 after it is built.  An operation may therefore return an operand as its
 result (scale by one returns the polynomial itself), and scale by a nonzero
-constant and neg hand their freshly built dict to the polynomial without the
-copy and zero filter of the constructor: a field has no zero divisors, so
-those results hold no zero coefficient.  add and mul can cancel, so they
-keep a zero filter: add checks each sum it forms, mul goes through the
-constructor.
+field element and neg hand their freshly built dict to the polynomial without
+the copy and zero filter of the constructor: a field has no zero divisors, so
+those results hold no zero coefficient.  scale by a value that is not a
+field element (an int the field's operations reduce, such as 3 over F_3)
+keeps the filter.  add and mul can cancel, so they keep a zero filter: add
+checks each sum it forms, mul goes through the constructor.
 """
 
 from __future__ import annotations
@@ -215,7 +216,10 @@ class SparsePoly:
         if c == f.zero():
             return SparsePoly(f)
         mul = f.mul
-        return SparsePoly._from_nonzero(f, {m: mul(co, c) for m, co in self.terms.items()})
+        terms = {m: mul(co, c) for m, co in self.terms.items()}
+        if f.is_element(c):
+            return SparsePoly._from_nonzero(f, terms)
+        return SparsePoly(f, terms)  # an unreduced c, such as 3 over F_3, may be zero
 
     def mul(self, other: "SparsePoly", budget: int | None = None) -> "SparsePoly":
         self._check_same_field(other)

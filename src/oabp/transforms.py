@@ -103,7 +103,6 @@ def obliviate(a: Abp, pi: Permutation | None = None) -> Abp:
 
     levels: list[list[str]] = [["src"]]
     edges: list[Edge] = []
-    one = ConstLabel(f.one())  # shared, so _valid_layers checks it once per run of ferries
 
     # source feeds the rank-1 carry level with constant-only path weights
     levels.append([carry(v, 1) for v in nodes])
@@ -123,13 +122,14 @@ def obliviate(a: Abp, pi: Permutation | None = None) -> Abp:
         levels.append([landing(d, i) for d in landing_dsts] + [ferry(v, i) for v in nodes])
         for e in var_edges_by_rank.get(i, ()):
             edges.append(Edge(carry(e.src, i), landing(e.dst, i), e.label))
+        one = f.one()
         for v in nodes:
-            edges.append(Edge(carry(v, i), ferry(v, i), one))
+            edges.append(Edge(carry(v, i), ferry(v, i), ConstLabel(one)))
         # next carry level: ferries keep their value, landings fan out along
         # constant-only paths of the original program
         levels.append([carry(v, i + 1) for v in nodes])
         for v in nodes:
-            edges.append(Edge(ferry(v, i), carry(v, i + 1), one))
+            edges.append(Edge(ferry(v, i), carry(v, i + 1), ConstLabel(one)))
         for w_node in landing_dsts:
             for v in nodes:
                 cw = const_from[w_node].get(v, zero)

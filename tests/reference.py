@@ -6,10 +6,9 @@ from oabp.abp import (
     ConstLabel,
     Edge,
     VarLabel,
-    _layers,
     _oblivious_report,
+    _valid_layers,
     prune,
-    require_valid,
     zero_abp,
 )
 from oabp.errors import StructureError
@@ -48,9 +47,8 @@ def renamed_shuffled(a, rng):
 
 def derivative_abp_reference(a, i):
     """Derivative of an oblivious program in x_i by building the rewired
-    program whole and pruning it: validate, group, rewrite, prune."""
-    require_valid(a)
-    grouped = _layers(a)
+    program whole and pruning it: check and group, rewrite, prune."""
+    grouped = _valid_layers(a)
     rep = _oblivious_report(grouped)
     if not rep.ok:
         raise StructureError(f"program is not oblivious: {rep.problem}")

@@ -21,7 +21,6 @@ from oabp.abp import (
     lift_constants,
     make_abp,
     prune,
-    require_valid,
     restrict,
     stats,
     validate,
@@ -167,10 +166,11 @@ INVALID_PROGRAMS = [
 
 
 @pytest.mark.parametrize("build", INVALID_PROGRAMS)
-def test_checked_grouping_refuses_with_require_valid_text(build):
+def test_checked_grouping_refuses_with_validate_problems(build):
     a = build()
-    with pytest.raises(StructureError) as want:
-        require_valid(a)
+    problems = validate(a)
+    assert problems
+    want = "invalid program: " + "; ".join(problems)
     refusers = (
         _valid_layers,
         obliviate,
@@ -180,7 +180,7 @@ def test_checked_grouping_refuses_with_require_valid_text(build):
     for refuse in refusers:
         with pytest.raises(StructureError) as got:
             refuse(a)
-        assert str(got.value) == str(want.value)
+        assert str(got.value) == want
 
 
 def test_checked_grouping_matches_unchecked_on_valid_programs():

@@ -74,6 +74,7 @@ def test_operations_leave_operands_unchanged(field):
         before = [list(p.terms.items()), list(q.terms.items())]
         c = field.from_int(rng.randint(-3, 3))
         results = [p.add(q), p.add(p.neg()), p.mul(q), p.scale(c), p.scale(one), p.neg(), p.sub(q)]
+        results += [p.scale(3), p * 3]  # over F_3 an unreduced zero
         assert [list(p.terms.items()), list(q.terms.items())] == before
         assert p.scale(one) == p
         assert p.add(p.neg()).is_zero
