@@ -528,10 +528,10 @@ def _pruned(a: Abp, layers: list[list[Edge]], edges: Iterable[Edge]) -> Abp:
     return Abp(a.field, a.num_vars, new_levels, new_edges, a.order)
 
 
-def lift_constants(a: Abp, new_field: Field, embed) -> Abp:
-    """Reinterpret the program over a larger field via an element embedding."""
+def lift_constants(a: Abp, new_field: Field) -> Abp:
+    """Reinterpret the program over an extension field via new_field.embed."""
     new_edges = tuple(
-        Edge(e.src, e.dst, ConstLabel(embed(e.label.value)))
+        Edge(e.src, e.dst, ConstLabel(new_field.embed(e.label.value)))
         if isinstance(e.label, ConstLabel)
         else e
         for e in a.edges

@@ -50,7 +50,9 @@ from .generator import (
     seed_names,
 )
 from .pit import (
+    DEFAULT_EXTENSION_CAP,
     DEFAULT_GRID_BUDGET,
+    DEFAULT_TRIALS,
     PitOptions,
     abp_oracle,
     compose_test,
@@ -82,7 +84,7 @@ class CliConfig:
     term_budget: int = DEFAULT_TERM_BUDGET
     grid_budget: int = DEFAULT_GRID_BUDGET
     seed: int = 0
-    extension_cap: int = 32
+    extension_cap: int = DEFAULT_EXTENSION_CAP
     output: str = "human"  # "human" | "json"
 
     def check(self) -> None:
@@ -593,7 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", help="override the variable order")
     p.add_argument("--grid-budget", type=int, dest="grid_budget")
     p.add_argument("--term-budget", type=int, dest="term_budget")
-    p.add_argument("--trials", type=int, default=20, help="samples in random mode")
+    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS, help="samples in random mode")
     p.add_argument("--seed", type=int, help="seed in random mode")
 
     p = add("rank", cmd_rank, "read lower bound from the derivative matrix")

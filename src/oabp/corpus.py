@@ -1,9 +1,9 @@
 """Reproducible test corpus of ordered branching programs.
 
 Mixes the named families at small sizes with seeded random ordered programs
-and a few members that compute the zero polynomial.  Random members are
-pruned so that every node lies on a source-to-sink path; transforms that
-promise exact read preservation rely on that.
+and a few members that compute the zero polynomial, all over Q.  Random
+members are pruned so that every node lies on a source-to-sink path;
+transforms that promise exact read preservation rely on that.
 """
 
 from __future__ import annotations
@@ -132,17 +132,13 @@ def cancel_pair(a: Abp, suffix: str) -> Abp:
     )
 
 
-def standard_corpus(
-    field: Field | None = None,
-    seed: int = DEFAULT_CORPUS_SEED,
-    members_per_class: int = 48,
-) -> list[CorpusMember]:
-    """Family members plus random ordered programs at n in {2, 4}, r in {1, 2}.
+def standard_corpus(seed: int = DEFAULT_CORPUS_SEED) -> list[CorpusMember]:
+    """Family members plus 48 random programs per n in {2, 4}, r in {1, 2}.
 
     Includes a handful of zero members per variable count.  Sizes stay small
     enough that exact expansion and composition are routine.
     """
-    field = field or rationals()
+    field = rationals()
     rng = random.Random(seed)
     out: list[CorpusMember] = []
     out.append(CorpusMember("symm_2_1", elementary_symmetric_abp(2, 1), 1, False))
@@ -152,7 +148,7 @@ def standard_corpus(
     ryser2 = ryser_permanent_abp(2)
     out.append(CorpusMember("ryser_2", ryser2, stats(ryser2).read, False))
     for n, r in ((2, 1), (2, 2), (4, 1), (4, 2)):
-        for t in range(members_per_class):
+        for t in range(48):
             a = random_ordered_abp(field, n, r, rng)
             out.append(CorpusMember(f"rand_n{n}_r{r}_{t}", a, r, None))
     # zero members

@@ -193,21 +193,22 @@ class FieldConfig:
 
     @staticmethod
     def from_json(data: Any) -> "FieldConfig":
-        if not isinstance(data, dict) or "kind" not in data:
-            raise FormatError(f"bad field config: {data!r}")
-        kind = data["kind"]
-        if kind == "rational":
-            return FieldConfig("rational")
-        if kind == "prime":
-            return FieldConfig("prime", p=int(data["p"]))
-        if kind == "extension":
-            modulus = data.get("modulus")
-            return FieldConfig(
-                "extension",
-                p=int(data["p"]),
-                deg=int(data["deg"]),
-                modulus=tuple(int(c) for c in modulus) if modulus is not None else None,
-            )
+        try:
+            kind = data["kind"]
+            if kind == "rational":
+                return FieldConfig("rational")
+            if kind == "prime":
+                return FieldConfig("prime", p=int(data["p"]))
+            if kind == "extension":
+                modulus = data.get("modulus")
+                return FieldConfig(
+                    "extension",
+                    p=int(data["p"]),
+                    deg=int(data["deg"]),
+                    modulus=tuple(int(c) for c in modulus) if modulus is not None else None,
+                )
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
+            raise FormatError(f"bad field config {data!r}: {exc}") from exc
         raise FormatError(f"unknown field kind {kind!r}")
 
 

@@ -25,7 +25,7 @@ checked against the exact degrees of the built map.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Sequence
 
 from .errors import FieldError, StructureError
@@ -230,9 +230,6 @@ def _eval(k: int, r: int, field: Field, tables: tuple, assignment: tuple) -> tup
     )
 
 
-_SEED_DEGREE_CACHE: dict = {}
-
-
 def _slot_degrees(k: int, r: int) -> tuple[tuple[dict, int], ...]:
     """Per output slot of the level-k map, (per-seed degree bound, total
     degree bound), by the structure of the recursion alone.
@@ -267,6 +264,7 @@ def _slot_degrees(k: int, r: int) -> tuple[tuple[dict, int], ...]:
     return tuple(slots)
 
 
+@cache
 def seed_degree_bounds(k: int, r: int, n: int) -> tuple[int, ...]:
     """Bound d_s on deg_s(f o G_k) for every multilinear f in n <= 2^k
     variables, in seed_names(k, r) order: the sum of the per-seed bounds of
@@ -274,14 +272,9 @@ def seed_degree_bounds(k: int, r: int, n: int) -> tuple[int, ...]:
     variables.  Does not depend on the field (cancellation only lowers a
     degree); cached per (k, r, n).
     """
-    key = (k, r, n)
-    got = _SEED_DEGREE_CACHE.get(key)
-    if got is None:
-        if not 1 <= n <= 2**k:
-            raise StructureError(f"level {k} feeds 1..{2**k} variables, got {n}")
-        slots = _slot_degrees(k, r)[:n]
-        got = tuple(
-            sum(degs.get(name, 0) for degs, _ in slots) for name in seed_names(k, r)
-        )
-        _SEED_DEGREE_CACHE[key] = got
-    return got
+    if not 1 <= n <= 2**k:
+        raise StructureError(f"level {k} feeds 1..{2**k} variables, got {n}")
+    slots = _slot_degrees(k, r)[:n]
+    return tuple(
+        sum(degs.get(name, 0) for degs, _ in slots) for name in seed_names(k, r)
+    )

@@ -2,13 +2,16 @@
 
 ``SpanBuilder`` is the package's only elimination.  Vectors are sparse
 dicts (key -> nonzero field element), and every kept row is stored under
-its pivot, the smallest key of the row under ``key_order``.  To reduce a
-vector, take the smallest key of its residual; when a kept row has that
-pivot, subtract the multiple of the row that clears the key, else stop.
-A kept row has no key below its pivot, so each step clears the residual's
+its pivot, the smallest key of the row in the keys' own order (so the keys
+given to one builder must be mutually comparable).  To reduce a vector,
+take the smallest key of its residual; when a kept row has that pivot,
+subtract the multiple of the row that clears the key, else stop.  A kept
+row has no key below its pivot, so each step clears the residual's
 smallest key and touches only larger keys: the smallest key strictly
 grows, and the loop ends after at most one step per kept row.  A nonzero
 residual is kept under its smallest key, which no kept row has as pivot.
+The pivot order changes no result: kept rows are independent, so each
+combination ``insert`` reports is unique, and the rank is the span's size.
 
 ``matrix_rank`` feeds the rows of a dense matrix, keyed by column index,
 through a ``SpanBuilder``.
@@ -16,7 +19,7 @@ through a ``SpanBuilder``.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from .fields import Field
 
@@ -24,7 +27,7 @@ from .fields import Field
 def matrix_rank(field: Field, rows: Sequence[Sequence]) -> int:
     """Rank of a dense matrix given as a list of rows; rows are not modified."""
     zero = field.zero()
-    span = SpanBuilder(field, key_order=lambda col: col)
+    span = SpanBuilder(field)
     for i, row in enumerate(rows):
         span.insert({col: c for col, c in enumerate(row) if c != zero}, i)
     return span.rank
@@ -38,9 +41,8 @@ class SpanBuilder:
     keyed by their insertion tags.
     """
 
-    def __init__(self, field: Field, key_order: Callable[[Any], Any]):
+    def __init__(self, field: Field):
         self.field = field
-        self.key_order = key_order
         # echelon basis: pivot key -> (vector, combo over kept tags)
         self.rows: dict[Any, tuple[dict, dict]] = {}
 
@@ -54,7 +56,7 @@ class SpanBuilder:
         residual = {k: v for k, v in vec.items() if v != zero}
         combo: dict = {}
         while residual:
-            pivot_key = min(residual, key=self.key_order)
+            pivot_key = min(residual)
             row = self.rows.get(pivot_key)
             if row is None:
                 break
@@ -79,7 +81,7 @@ class SpanBuilder:
         if not residual:
             return combo
         f = self.field
-        pivot_key = min(residual, key=self.key_order)
+        pivot_key = min(residual)
         # combo_new expresses the stored residual over kept tags:
         # residual = vec - sum combo[t] * kept_t
         combo_new = {t: f.neg(c) for t, c in combo.items()}

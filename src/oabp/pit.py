@@ -18,9 +18,9 @@ Three modes:
   (see "Why the grid suffices" below).
   hitset_test runs the same grid on a bare oracle, which it cannot inspect,
   so it trusts its caller's order and read promises.
-* compose_test: exact symbolic reference.  Expands the program, substitutes
-  the generator components, and checks the composition for the zero
-  polynomial.  Expensive, but needs no grid.
+* compose_test: exact symbolic reference.  Validates and gates the program,
+  expands it, composes the expansion with the generator components, and
+  checks the result for the zero polynomial.  Expensive, but needs no grid.
 * random_probe: seeded random evaluations, a cross-check only.  It checks
   neither promise, and its ZERO verdict is probabilistic.
 
@@ -56,7 +56,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from .abp import Abp, Permutation, expand, lift_constants, resolve_order, stats
+from .abp import Abp, Permutation, _valid_layers, expand, lift_constants, resolve_order, stats
 from .errors import BudgetError, FieldError, StructureError
 from .fields import (
     Field,
@@ -73,9 +73,11 @@ from .generator import (
     seed_degree_bounds,
 )
 from .poly import DEFAULT_TERM_BUDGET, mono_sort_key
-from .transforms import obliviate
+from .transforms import obliviate  # noqa: F401 - a lookup site the benchmark tracer wraps
 
 DEFAULT_GRID_BUDGET = 10**7
+DEFAULT_EXTENSION_CAP = 32
+DEFAULT_TRIALS = 20
 DEFAULT_SAMPLE_SPACE = 100
 
 
@@ -83,8 +85,8 @@ DEFAULT_SAMPLE_SPACE = 100
 class PitOptions:
     grid_budget: int = DEFAULT_GRID_BUDGET
     term_budget: int = DEFAULT_TERM_BUDGET
-    extension_cap: int = 32
-    trials: int = 20
+    extension_cap: int = DEFAULT_EXTENSION_CAP
+    trials: int = DEFAULT_TRIALS
     seed: int = 0
 
 
@@ -170,7 +172,7 @@ def _working_program(
         needed = max(needed, per_coord)
     work_field = ensure_field(a.field, needed, opts)
     if work_field is not a.field:
-        a = lift_constants(a, work_field, work_field.embed)
+        a = lift_constants(a, work_field)
     return a, pi
 
 
@@ -226,17 +228,18 @@ def hitset_test(
 def compose_test(a: Abp, r: int, opts: PitOptions | None = None) -> PitVerdict:
     """Exact reference test: is the generator composition the zero polynomial?
 
-    Runs the full pipeline: pass the promise gate (order, read bound,
-    working field), reshape the program oblivious (a no-op on the
-    polynomial), expand exactly, substitute the generator components by
-    rank, and inspect the result.  opts.term_budget bounds the expansion,
-    every composition of the generator build, and the substitution.
+    Runs the full pipeline: refuse a malformed program (validate's problems),
+    pass the promise gate (order, read bound, working field), expand the
+    gated program exactly, compose it with the generator components by rank,
+    and inspect the result.  opts.term_budget bounds the expansion, every
+    composition of the build, and the substitution.
     """
+    _valid_layers(a)
     opts = opts or PitOptions()
     prog, pi = _working_program(a, r, opts)
     n = a.num_vars
     k = level_for(n)
-    f = expand(obliviate(prog, pi), budget=opts.term_budget)
+    f = expand(prog, budget=opts.term_budget)
     note = None
     if prog.field is not a.field:
         note = f"composed over extension {prog.field.config.to_json()}"

@@ -41,6 +41,13 @@ def _canonical_bytes(data: Any) -> str:
     return json.dumps(data, sort_keys=True, indent=1) + "\n"
 
 
+def _parse(text: str) -> Any:
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"not JSON: {exc}") from exc
+
+
 # -- programs ---------------------------------------------------------------
 
 
@@ -80,12 +87,16 @@ def abp_from_json(data: Any) -> Abp:
         isinstance(lvl, list) and all(isinstance(v, str) for v in lvl) for lvl in levels
     ):
         raise FormatError("levels must be lists of node name strings")
+    if not isinstance(data["edges"], list):
+        raise FormatError("edges must be a list")
     edges = []
     for item in data["edges"]:
         try:
             src, dst, label = item["from"], item["to"], item["label"]
         except (TypeError, KeyError) as exc:
             raise FormatError(f"bad edge entry {item!r}") from exc
+        if not isinstance(label, dict):
+            raise FormatError(f"edge label must be an object: {label!r}")
         if "var" in label:
             idx = label["var"]
             if not isinstance(idx, int) or not 1 <= idx <= num_vars:
@@ -115,11 +126,7 @@ def abp_dumps(a: Abp) -> str:
 
 
 def abp_loads(text: str) -> Abp:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"not JSON: {exc}") from exc
-    return abp_from_json(data)
+    return abp_from_json(_parse(text))
 
 
 # -- polynomials --------------------------------------------------------------
@@ -145,8 +152,8 @@ def poly_to_json(p: SparsePoly) -> dict:
 
 
 def poly_from_json(data: Any) -> SparsePoly:
-    if not isinstance(data, dict) or "field" not in data or "terms" not in data:
-        raise FormatError("polynomial file needs field and terms")
+    if not isinstance(data, dict) or "field" not in data or not isinstance(data.get("terms"), list):
+        raise FormatError("polynomial file needs a field and a list of terms")
     field = make_field(FieldConfig.from_json(data["field"]))
     acc: dict = {}
     for item in data["terms"]:
@@ -155,6 +162,8 @@ def poly_from_json(data: Any) -> SparsePoly:
             exps = item["exps"]
         except (TypeError, KeyError) as exc:
             raise FormatError(f"bad term {item!r}") from exc
+        if not isinstance(exps, dict):
+            raise FormatError(f"term exponents must be an object: {exps!r}")
         mono_items = []
         for key, e in exps.items():
             if not isinstance(e, int) or e < 1:
@@ -175,19 +184,12 @@ def poly_dumps(p: SparsePoly) -> str:
 
 
 def poly_loads(text: str) -> SparsePoly:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"not JSON: {exc}") from exc
-    return poly_from_json(data)
+    return poly_from_json(_parse(text))
 
 
 def sniff_load(text: str):
     """Load a program or a polynomial, whichever the file contains."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"not JSON: {exc}") from exc
+    data = _parse(text)
     if isinstance(data, dict) and "levels" in data:
         return abp_from_json(data)
     if isinstance(data, dict) and "terms" in data:

@@ -237,6 +237,13 @@ def reduce_independent(dec: Decomposition) -> Decomposition:
     right-hand partners of its representation.  Phase two repeats the scan
     on the updated right list, folding back into the left.  The represented
     sum never changes; the result width is the smaller of the two ranks.
+    Monomials enter the span as mono_sort_key values, which compare where
+    raw monomials mixing program variables and seed names do not.
+
+    No kept pair has a zero side: phase one keeps independent, so nonzero,
+    lefts; phase two drops a zero right as dependent (its combination is
+    empty), and each left it keeps is a phase-one left plus multiples of
+    the other phase-one lefts, nonzero by their independence.
     """
     if not dec.left or len(dec.left) != len(dec.right):
         raise StructureError("decomposition lists must be nonempty and aligned")
@@ -248,12 +255,12 @@ def reduce_independent(dec: Decomposition) -> Decomposition:
     def one_phase(
         primary: list[SparsePoly], partner: list[SparsePoly]
     ) -> tuple[list[SparsePoly], list[SparsePoly]]:
-        span = SpanBuilder(field, key_order=mono_sort_key)
+        span = SpanBuilder(field)
         kept_primary: list[SparsePoly] = []
         kept_partner: list[SparsePoly] = []
         index_of: dict[int, int] = {}
         for pos, (p, q) in enumerate(zip(primary, partner)):
-            combo = span.insert(dict(p.terms), tag=pos)
+            combo = span.insert({mono_sort_key(m): c for m, c in p.terms.items()}, tag=pos)
             if combo is None:
                 index_of[pos] = len(kept_primary)
                 kept_primary.append(p)
@@ -267,13 +274,6 @@ def reduce_independent(dec: Decomposition) -> Decomposition:
     left1, right1 = one_phase(dec.left, dec.right)
     right2, left2 = one_phase(right1, left1)
     out = Decomposition(left2, right2, cut_level=dec.cut_level)
-    # zero partners can survive as kept-but-useless pairs; drop them
-    keep = [i for i in range(out.width) if not (out.left[i].is_zero or out.right[i].is_zero)]
-    out = Decomposition(
-        [out.left[i] for i in keep],
-        [out.right[i] for i in keep],
-        cut_level=dec.cut_level,
-    )
     if out.total() != total:  # pragma: no cover - algebraic identity
         raise StructureError("reduction changed the represented polynomial")
     return out

@@ -29,6 +29,7 @@ from oabp.abp import (
 from oabp.corpus import standard_corpus
 from oabp.errors import BudgetError, StructureError
 from oabp.fields import extension_field, prime_field, rationals
+from oabp.pit import compose_test
 from oabp.poly import SparsePoly
 from oabp.transforms import cut_decompose, derivative_abp, obliviate
 from reference import renamed_reversed
@@ -176,6 +177,7 @@ def test_checked_grouping_refuses_with_validate_problems(build):
         obliviate,
         lambda a: derivative_abp(a, 1),
         lambda a: cut_decompose(a, 1),
+        lambda a: compose_test(a, 1),
     )
     for refuse in refusers:
         with pytest.raises(StructureError) as got:
@@ -391,7 +393,7 @@ def test_lift_constants():
         [["s"], ["m"], ["t"]],
         [("s", "m", VarLabel(1)), ("m", "t", ConstLabel(1))],
     )
-    b = lift_constants(a, F8, F8.embed)
+    b = lift_constants(a, F8)
     assert b.field == F8
     one = F8.one()
     assert evaluate(b, (one, one)) == one

@@ -49,6 +49,31 @@ def test_missing_file_is_a_runtime_error(capsys):
     assert err.startswith("error:")
 
 
+PROGRAM_HEAD = {"field": {"kind": "rational"}, "num_vars": 1, "levels": [["s"], ["t"]]}
+POLY_HEAD = {"field": {"kind": "rational"}}
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {**PROGRAM_HEAD, "edges": 5},
+        {**PROGRAM_HEAD, "edges": [{"from": "s", "to": "t", "label": "var"}]},
+        {**POLY_HEAD, "terms": 7},
+        {**POLY_HEAD, "terms": [{"coeff": "1", "exps": [1, 1]}]},
+        {"field": {"kind": "prime", "p": "x"}, "terms": []},
+        {"field": {"kind": "prime", "p": float("inf")}, "terms": []},
+    ],
+    ids=["edges-int", "label-string", "terms-int", "exps-list", "prime-p-string", "prime-p-inf"],
+)
+def test_malformed_file_is_a_runtime_error(capsys, tmp_path, data):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, out, err = run(capsys, "stats", bad)
+    assert code == 2
+    assert err.startswith(f"error: {bad}: ")
+    assert out == ""
+
+
 # -- stats and eval ---------------------------------------------------------------
 
 
@@ -203,6 +228,17 @@ def test_pit_wrong_order_refused_in_both_exact_modes(capsys, fixtures_dir):
         ]
         assert runs[0] == runs[1]
         assert runs[0] == (2, "", f"error: {message}\n")
+
+
+def test_pit_compose_refuses_an_invalid_program(capsys, tmp_path):
+    bad = tmp_path / "two_sinks.abp.json"
+    bad.write_text(json.dumps({
+        **PROGRAM_HEAD,
+        "levels": [["s"], ["t", "t2"]],
+        "edges": [{"from": "s", "to": "t", "label": {"var": 1}}],
+    }))
+    code, out, err = run(capsys, "pit", bad, "--read", "1", "--mode", "compose")
+    assert (code, out, err) == (2, "", "error: invalid program: sink level has 2 nodes, want 1\n")
 
 
 def test_pit_grid_budget_exceeded(capsys, fixtures_dir):

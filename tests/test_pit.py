@@ -7,6 +7,8 @@ from math import prod
 
 import pytest
 
+import oabp.pit
+import oabp.transforms
 from oabp.abp import (
     Abp,
     ConstLabel,
@@ -170,6 +172,21 @@ def test_compose_witness_is_the_least_monomial_of_the_composition():
         assert compose_test(a, m.read_bound).witness == want, m.name
 
 
+def test_compose_expands_the_gated_program_without_obliviating(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return obliviate(*args, **kwargs)
+
+    monkeypatch.setattr(oabp.pit, "obliviate", counted)
+    monkeypatch.setattr(oabp.transforms, "obliviate", counted)
+    for m in standard_corpus()[::20]:
+        compose_test(m.abp, m.read_bound)
+    compose_test(x1x2(prime_field(3)), 1)  # lifted to an extension first
+    assert calls == []
+
+
 def test_compose_zero():
     member = next(m for m in standard_corpus() if m.zero)
     assert compose_test(member.abp, member.read_bound).verdict == "ZERO"
@@ -193,7 +210,7 @@ def test_small_field_auto_extension():
     work = ensure_field(f2, 5, PitOptions())
     assert (work.p, work.deg, work.config.modulus) == (2, 3, (1, 1, 0, 1))
     # the reported witness evaluates nonzero over that extension
-    oracle = abp_oracle(lift_constants(x1x2(f2), work, work.embed))
+    oracle = abp_oracle(lift_constants(x1x2(f2), work))
     assert oracle(v.witness) != work.zero()
 
     f3 = prime_field(3)
@@ -308,7 +325,7 @@ def test_hitset_matches_expansion_on_every_two_variable_member():
             else:
                 point = dict(enumerate(got.witness, start=1))
                 assert ref.evaluate(point) != work.zero(), name
-            oracle = abp_oracle(lift_constants(a, work, work.embed) if work is not field else a)
+            oracle = abp_oracle(lift_constants(a, work) if work is not field else a)
             bare = hitset_test(oracle, 2, m.read_bound, field, pi=resolve_order(a))
             assert (bare.verdict, bare.queries, bare.witness) == (
                 got.verdict, got.queries, got.witness

@@ -29,6 +29,7 @@ from oabp.fields import rationals
 from oabp.poly import SparsePoly
 from oabp.serialize import abp_dumps
 from oabp.transforms import (
+    Decomposition,
     cut_decompose,
     derivative_abp,
     obliviate,
@@ -257,11 +258,26 @@ def test_reduce_yields_independent_pairs_and_preserves_sum():
             red = reduce_independent(dec)
             assert pair_sum(red) == p, (member.name, lvl)
             assert red.width <= dec.width
+            assert not any(l.is_zero or r.is_zero for l, r in zip(red.left, red.right))
             if red.left:
                 assert coefficient_rank(red.left) == len(red.left), (member.name, lvl)
                 assert coefficient_rank(red.right) == len(red.right), (member.name, lvl)
             checked += 1
     assert checked > 20
+
+
+def test_reduce_accepts_program_variables_mixed_with_seed_names():
+    # ints and seed names do not compare as raw monomials, so every vector
+    # with both kinds of term must enter the span through mono_sort_key
+    x1, z1, u1 = (SparsePoly.variable(Q, v) for v in (1, "z1", "u1"))
+    one = SparsePoly.const(Q, Fraction(1))
+    left = [x1.add(z1), z1, x1, SparsePoly.zero(Q), x1.mul(u1).add(one)]
+    right = [x1, u1.add(one), z1, u1, one.add(one)]
+    dec = Decomposition(left, right)
+    red = reduce_independent(dec)
+    assert pair_sum(red) == pair_sum(dec)
+    assert red.width == coefficient_rank(red.left) == coefficient_rank(red.right) == 3
+    assert not any(l.is_zero or r.is_zero for l, r in zip(red.left, red.right))
 
 
 def test_reduce_collapses_duplicate_paths():
