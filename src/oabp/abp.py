@@ -10,14 +10,13 @@ whole program.  Variable orders are permutations pi of [n] stored as image
 lists: pi(i) is the rank of x_i, and the induced variable sequence is
 x_{pi^-1(1)}, ..., x_{pi^-1(n)}.
 
-Layer l holds the edges leaving level l, the index check_oblivious reports;
-each level-by-level walk here and in transforms groups edges into layers once
-per call.  ``_layers`` is the unchecked grouping, for walks that only read a
-program (evaluate, expand, prune, the order checks).  ``_valid_layers`` is
-the checked one: ``_check`` makes validate's checks and groups the edges in
-one pass, and ``_valid_layers`` raises StructureError listing the problems
-if there are any.  The transforms, which build new programs from a
-grouping, call it once.
+Layer l holds the edges leaving level l, the index check_oblivious reports.
+Every level-by-level walk, here and in transforms, groups edges into layers
+once per call with ``_layers``, the one grouping, and it is checked:
+``_check`` makes validate's checks and groups the edges in one pass, and
+``_layers`` raises StructureError listing the problems if there are any, so
+every walk refuses a malformed program with validate's text.  evaluate
+takes the grouping from a caller that evaluates many points.
 ``_sweep``, the one dynamic-programming loop, carries
 a value from a start node layer by layer to a stop level: along the edges if
 that level is later, against them if earlier.  Each edge passes
@@ -129,13 +128,6 @@ class Abp:
     def depth(self) -> int:
         return len(self.levels) - 1
 
-    def node_levels(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for i, lvl in enumerate(self.levels):
-            for node in lvl:
-                out[node] = i
-        return out
-
 
 def make_abp(
     field: Field,
@@ -232,28 +224,16 @@ def stats(a: Abp) -> AbpStats:
     return AbpStats(
         size=sum(len(lvl) for lvl in a.levels),
         depth=a.depth,
-        width=max(len(lvl) for lvl in a.levels),
+        width=max(map(len, a.levels), default=0),
         reads=reads,
         read=max(reads.values(), default=0),
     )
 
 
 def _layers(a: Abp) -> list[list[Edge]]:
-    """The edges of each layer, in a.edges order; the walks need every edge
-    to join consecutive levels, so others are rejected."""
-    node_lv = a.node_levels()
-    layers: list[list[Edge]] = [[] for _ in range(a.depth)]
-    for e in a.edges:
-        lvl = node_lv[e.src]
-        if node_lv[e.dst] != lvl + 1:
-            raise StructureError(f"edge {e.src!r}->{e.dst!r} skips or leaves the levels")
-        layers[lvl].append(e)
-    return layers
-
-
-def _valid_layers(a: Abp) -> list[list[Edge]]:
-    """_layers for a program that passes validate, checked in the same pass;
-    raises StructureError listing validate's problems otherwise."""
+    """The edges of each layer, in a.edges order, for a program that passes
+    validate, checked in the same pass; raises StructureError listing
+    validate's problems otherwise."""
     problems, layers = _check(a)
     if problems:
         raise StructureError("invalid program: " + "; ".join(problems))
@@ -309,12 +289,13 @@ def check_order(a: Abp, pi: Permutation) -> bool:
     One forward pass: track, per node, the largest rank seen on any path into
     it; a variable edge must carry a strictly larger rank than that.
     """
+    layers = _layers(a)
     if pi.n != a.num_vars:
         raise StructureError(
             f"order over {pi.n} variables, program has {a.num_vars}"
         )
     maxrank: dict[str, int] = {node: 0 for lvl in a.levels for node in lvl}
-    for layer in _layers(a):
+    for layer in layers:
         for e in layer:
             base = maxrank[e.src]
             if isinstance(e.label, VarLabel):
@@ -425,8 +406,11 @@ def _oblivious_report(layers: list[list[Edge]]) -> ObliviousnessReport:
     return ObliviousnessReport(True, tuple(layer_vars))
 
 
-def evaluate(a: Abp, point: Sequence[Any]):
-    """Value of the program at a point (point[i-1] is the value of x_i)."""
+def evaluate(a: Abp, point: Sequence[Any], *, layers: list[list[Edge]] | None = None):
+    """Value of the program at a point (point[i-1] is the value of x_i);
+    layers is _layers(a), from a caller that evaluates many points."""
+    if layers is None:
+        layers = _layers(a)
     if len(point) != a.num_vars:
         raise StructureError(
             f"point has {len(point)} coordinates, program has {a.num_vars} variables"
@@ -441,7 +425,7 @@ def evaluate(a: Abp, point: Sequence[Any]):
             return mul(v, point[label.index - 1])
         return mul(v, label.value)
 
-    vals = _sweep(_layers(a), a.source, f.one(), 0, a.depth, transfer, f.add)
+    vals = _sweep(layers, a.source, f.one(), 0, a.depth, transfer, f.add)
     return vals.get(a.sink, zero)
 
 

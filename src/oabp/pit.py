@@ -8,7 +8,8 @@ checks the order, refuses a program that reads a variable more than r
 times, sizes the hitset grid, and picks the working field, lifting the
 program's constants into the smallest extension with enough points when its
 own field is too small.
-Either refusal is the same StructureError in both modes.
+Each refusal is the same StructureError in both modes.  Resolving the order
+refuses a malformed program first, as every layer walk does.
 
 Three modes:
 
@@ -18,11 +19,12 @@ Three modes:
   (see "Why the grid suffices" below).
   hitset_test runs the same grid on a bare oracle, which it cannot inspect,
   so it trusts its caller's order and read promises.
-* compose_test: exact symbolic reference.  Validates and gates the program,
-  expands it, composes the expansion with the generator components, and
-  checks the result for the zero polynomial.  Expensive, but needs no grid.
+* compose_test: exact symbolic reference.  Gates the program, expands it,
+  composes the expansion with the generator components, and checks the
+  result for the zero polynomial.  Expensive, but needs no grid.
 * random_probe: seeded random evaluations, a cross-check only.  It checks
-  neither promise, and its ZERO verdict is probabilistic.
+  neither promise, and its ZERO verdict is probabilistic.  abp_oracle still
+  refuses a malformed program.
 
 Why the grid suffices.  The source paper shows that f o G_k is nonzero for
 every nonzero pi-ordered read-r program f of n <= 2^k variables, where
@@ -56,7 +58,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from .abp import Abp, Permutation, _valid_layers, expand, lift_constants, resolve_order, stats
+from .abp import Abp, Permutation, _layers, expand, lift_constants, resolve_order, stats
 from .errors import BudgetError, FieldError, StructureError
 from .fields import (
     Field,
@@ -155,12 +157,13 @@ def _working_program(
 ) -> tuple[Abp, Permutation]:
     """The program an exact verdict runs on and the order it respects.
 
-    In this order: resolve and check the variable order; refuse, with
-    StructureError, a program that reads a variable more than r times (the
-    hitting set covers neither); with ``grid``, size the seed grid, so an
-    over-budget grid is reported before any field is chosen; pick a field
-    with enough points for the generator and the grid; and lift the
-    program's constants into it when it is an extension.
+    In this order: resolve and check the variable order, refusing a
+    malformed program first; refuse, with StructureError, a program that
+    reads a variable more than r times (the hitting set covers neither);
+    with ``grid``, size the seed grid, so an over-budget grid is reported
+    before any field is chosen; pick a field with enough points for the
+    generator and the grid; and lift the program's constants into it when
+    it is an extension.
     """
     pi = resolve_order(a)
     read = stats(a).read
@@ -228,13 +231,12 @@ def hitset_test(
 def compose_test(a: Abp, r: int, opts: PitOptions | None = None) -> PitVerdict:
     """Exact reference test: is the generator composition the zero polynomial?
 
-    Runs the full pipeline: refuse a malformed program (validate's problems),
-    pass the promise gate (order, read bound, working field), expand the
-    gated program exactly, compose it with the generator components by rank,
-    and inspect the result.  opts.term_budget bounds the expansion, every
-    composition of the build, and the substitution.
+    Runs the full pipeline: pass the promise gate (validity, order, read
+    bound, working field), expand the gated program exactly, compose it
+    with the generator components by rank, and inspect the result.
+    opts.term_budget bounds the expansion, every composition of the build,
+    and the substitution.
     """
-    _valid_layers(a)
     opts = opts or PitOptions()
     prog, pi = _working_program(a, r, opts)
     n = a.num_vars
@@ -279,17 +281,19 @@ def random_probe(
 
 
 def abp_oracle(a: Abp) -> Callable[[tuple], Any]:
-    """Evaluation oracle for a program over its own field."""
+    """Evaluation oracle for a program over its own field; the program is
+    checked and grouped once, here, not on every query."""
     from .abp import evaluate
 
-    return lambda point: evaluate(a, point)
+    layers = _layers(a)
+    return lambda point: evaluate(a, point, layers=layers)
 
 
 def hitset_test_abp(a: Abp, r: int, opts: PitOptions | None = None) -> PitVerdict:
     """Hitset test driven by a program's own evaluation oracle.
 
-    Passes the program through the promise gate, which also sizes the grid,
-    and queries the gated program's oracle.
+    Passes the program through the promise gate, which also validates it
+    and sizes the grid, and queries the gated program's oracle.
     """
     opts = opts or PitOptions()
     prog, pi = _working_program(a, r, opts, grid=True)

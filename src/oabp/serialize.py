@@ -80,7 +80,8 @@ def abp_from_json(data: Any) -> Abp:
             raise FormatError(f"program file lacks {key!r}")
     field = make_field(FieldConfig.from_json(data["field"]))
     num_vars = data["num_vars"]
-    if not isinstance(num_vars, int) or num_vars < 0:
+    # type() and not isinstance(): a JSON true loads as a bool, an int subclass
+    if type(num_vars) is not int or num_vars < 0:
         raise FormatError(f"bad num_vars: {num_vars!r}")
     levels = data["levels"]
     if not isinstance(levels, list) or not all(
@@ -95,11 +96,13 @@ def abp_from_json(data: Any) -> Abp:
             src, dst, label = item["from"], item["to"], item["label"]
         except (TypeError, KeyError) as exc:
             raise FormatError(f"bad edge entry {item!r}") from exc
+        if not isinstance(src, str) or not isinstance(dst, str):
+            raise FormatError(f"edge endpoints must be node name strings: {item!r}")
         if not isinstance(label, dict):
             raise FormatError(f"edge label must be an object: {label!r}")
         if "var" in label:
             idx = label["var"]
-            if not isinstance(idx, int) or not 1 <= idx <= num_vars:
+            if type(idx) is not int or not 1 <= idx <= num_vars:
                 raise FormatError(f"bad variable index {idx!r}")
             edges.append(Edge(src, dst, VarLabel(idx)))
         elif "const" in label:
@@ -108,6 +111,8 @@ def abp_from_json(data: Any) -> Abp:
             raise FormatError(f"edge label needs var or const: {label!r}")
     order = None
     if data.get("order") is not None:
+        if not isinstance(data["order"], list) or any(type(i) is not int for i in data["order"]):
+            raise FormatError(f"bad order: {data['order']!r} is not a list of integers")
         try:
             order = Permutation(data["order"])
         except Exception as exc:
@@ -166,7 +171,9 @@ def poly_from_json(data: Any) -> SparsePoly:
             raise FormatError(f"term exponents must be an object: {exps!r}")
         mono_items = []
         for key, e in exps.items():
-            if not isinstance(e, int) or e < 1:
+            if not key:
+                raise FormatError("empty variable name in exponents")
+            if type(e) is not int or e < 1:
                 raise FormatError(f"bad exponent {e!r} for {key!r}")
             mono_items.append((_key_to_var(key), e))
         mono = tuple(sorted(mono_items, key=lambda it: var_sort_key(it[0])))

@@ -21,11 +21,11 @@ from .abp import (
     Edge,
     Permutation,
     VarLabel,
+    _layers,
     _oblivious_report,
     _poly_transfer,
     _pruned,
     _sweep,
-    _valid_layers,
     expand,  # noqa: F401 - a lookup site the benchmark tracer wraps
     resolve_order,
     zero_abp,
@@ -71,7 +71,7 @@ def obliviate(a: Abp, pi: Permutation | None = None) -> Abp:
     stay in place, keeping the edge mapping one-to-one.  Apply prune() to
     the result if compactness matters more than exact read counts.
     """
-    layers = _valid_layers(a)
+    layers = _layers(a)
     pi = resolve_order(a, pi)
     f = a.field
     zero = f.zero()
@@ -154,7 +154,7 @@ def derivative_abp(a: Abp, i: int) -> Abp:
     never read the derivative is the zero program.  The rewritten grouping is
     pruned as it stands; no intermediate program is built.
     """
-    grouped = _valid_layers(a)
+    grouped = _layers(a)
     rep = _oblivious_report(grouped)
     if not rep.ok:
         raise StructureError(f"program is not oblivious: {rep.problem}")
@@ -203,7 +203,7 @@ def cut_decompose(a: Abp, level: int) -> Decomposition:
     must separate the variables: a variable read both before and after the
     cut is rejected.
     """
-    layers = _valid_layers(a)
+    layers = _layers(a)
     if not 0 < level < len(a.levels) - 1:
         raise StructureError(
             f"cut level must be interior (1..{len(a.levels) - 2}), got {level}"

@@ -6,8 +6,8 @@ from oabp.abp import (
     ConstLabel,
     Edge,
     VarLabel,
+    _layers,
     _oblivious_report,
-    _valid_layers,
     prune,
     zero_abp,
 )
@@ -45,10 +45,20 @@ def renamed_shuffled(a, rng):
     )
 
 
+def layers_reference(a):
+    """The edges of each layer, in a.edges order, grouped without any check:
+    each edge goes to the layer of its source's level."""
+    level_of = {node: i for i, lvl in enumerate(a.levels) for node in lvl}
+    layers = [[] for _ in range(a.depth)]
+    for e in a.edges:
+        layers[level_of[e.src]].append(e)
+    return layers
+
+
 def derivative_abp_reference(a, i):
     """Derivative of an oblivious program in x_i by building the rewired
     program whole and pruning it: check and group, rewrite, prune."""
-    grouped = _valid_layers(a)
+    grouped = _layers(a)
     rep = _oblivious_report(grouped)
     if not rep.ok:
         raise StructureError(f"program is not oblivious: {rep.problem}")

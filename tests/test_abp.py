@@ -12,7 +12,6 @@ from oabp.abp import (
     Permutation,
     VarLabel,
     _layers,
-    _valid_layers,
     check_oblivious,
     check_order,
     evaluate,
@@ -29,10 +28,10 @@ from oabp.abp import (
 from oabp.corpus import standard_corpus
 from oabp.errors import BudgetError, StructureError
 from oabp.fields import extension_field, prime_field, rationals
-from oabp.pit import compose_test
+from oabp.pit import abp_oracle, compose_test, hitset_test_abp, random_probe
 from oabp.poly import SparsePoly
 from oabp.transforms import cut_decompose, derivative_abp, obliviate
-from reference import renamed_reversed
+from reference import layers_reference, renamed_reversed
 
 Q = rationals()
 
@@ -173,11 +172,19 @@ def test_checked_grouping_refuses_with_validate_problems(build):
     assert problems
     want = "invalid program: " + "; ".join(problems)
     refusers = (
-        _valid_layers,
+        _layers,
+        lambda a: evaluate(a, (Fraction(1),) * a.num_vars),
+        expand,
+        prune,
+        check_oblivious,
+        infer_order,
+        lambda a: check_order(a, Permutation.identity(a.num_vars)),
         obliviate,
         lambda a: derivative_abp(a, 1),
         lambda a: cut_decompose(a, 1),
         lambda a: compose_test(a, 1),
+        lambda a: hitset_test_abp(a, 1),
+        lambda a: random_probe(abp_oracle(a), a.num_vars, a.field),
     )
     for refuse in refusers:
         with pytest.raises(StructureError) as got:
@@ -189,7 +196,7 @@ def test_checked_grouping_matches_unchecked_on_valid_programs():
     for member in standard_corpus()[::3]:
         for a in (member.abp, renamed_reversed(member.abp), obliviate(member.abp)):
             assert validate(a) == []
-            assert _valid_layers(a) == _layers(a), member.name
+            assert _layers(a) == layers_reference(a), member.name
 
 
 # -- permutations -------------------------------------------------------------
@@ -294,13 +301,6 @@ def test_evaluate_two_path():
 def test_evaluate_arity_check():
     with pytest.raises(StructureError):
         evaluate(two_path(), (Fraction(1),))
-
-
-def test_layer_walks_reject_an_edge_that_skips_a_level():
-    a = make_abp(Q, 1, [["s"], ["m"], ["t"]], [("s", "t", VarLabel(1))])
-    for walk in (lambda: evaluate(a, (Fraction(1),)), lambda: expand(a), lambda: prune(a)):
-        with pytest.raises(StructureError, match="skips or leaves the levels"):
-            walk()
 
 
 def test_expand_two_path():

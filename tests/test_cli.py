@@ -62,8 +62,19 @@ POLY_HEAD = {"field": {"kind": "rational"}}
         {**POLY_HEAD, "terms": [{"coeff": "1", "exps": [1, 1]}]},
         {"field": {"kind": "prime", "p": "x"}, "terms": []},
         {"field": {"kind": "prime", "p": float("inf")}, "terms": []},
+        {**PROGRAM_HEAD, "edges": [{"from": "s", "to": ["t"], "label": {"var": 1}}]},
+        {**PROGRAM_HEAD, "edges": [{"from": 0, "to": "t", "label": {"var": 1}}]},
+        {**PROGRAM_HEAD, "num_vars": True, "edges": []},
+        {**PROGRAM_HEAD, "edges": [{"from": "s", "to": "t", "label": {"var": True}}]},
+        {**PROGRAM_HEAD, "edges": [], "order": [True]},
+        {**POLY_HEAD, "terms": [{"coeff": "1", "exps": {"1": True}}]},
+        {**POLY_HEAD, "terms": [{"coeff": "1", "exps": {"": 1}}]},
     ],
-    ids=["edges-int", "label-string", "terms-int", "exps-list", "prime-p-string", "prime-p-inf"],
+    ids=[
+        "edges-int", "label-string", "terms-int", "exps-list", "prime-p-string", "prime-p-inf",
+        "endpoint-list", "endpoint-int", "num-vars-bool", "var-bool", "order-bool",
+        "exponent-bool", "exponent-key-empty",
+    ],
 )
 def test_malformed_file_is_a_runtime_error(capsys, tmp_path, data):
     bad = tmp_path / "bad.json"
@@ -230,15 +241,36 @@ def test_pit_wrong_order_refused_in_both_exact_modes(capsys, fixtures_dir):
         assert runs[0] == (2, "", f"error: {message}\n")
 
 
-def test_pit_compose_refuses_an_invalid_program(capsys, tmp_path):
-    bad = tmp_path / "two_sinks.abp.json"
+@pytest.mark.parametrize(
+    "levels, to, problem",
+    [
+        ([["s"], ["t"]], "ghost", "edge 's'->'ghost' references unknown node"),
+        ([["s"], ["t", "t2"]], "t", "sink level has 2 nodes, want 1"),
+        ([], "t", "need at least two levels (source and sink)"),
+    ],
+    ids=["unknown-node", "two-sinks", "no-levels"],
+)
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["stats"],
+        ["eval", "--point", "1"],
+        ["expand"],
+        ["pit", "--read", "1", "--mode", "hitset"],
+        ["pit", "--read", "1", "--mode", "compose"],
+        ["pit", "--read", "1", "--mode", "random"],
+    ],
+    ids=["stats", "eval", "expand", "pit-hitset", "pit-compose", "pit-random"],
+)
+def test_commands_refuse_an_invalid_program(capsys, tmp_path, command, levels, to, problem):
+    bad = tmp_path / "bad.abp.json"
     bad.write_text(json.dumps({
         **PROGRAM_HEAD,
-        "levels": [["s"], ["t", "t2"]],
-        "edges": [{"from": "s", "to": "t", "label": {"var": 1}}],
+        "levels": levels,
+        "edges": [{"from": "s", "to": to, "label": {"var": 1}}],
     }))
-    code, out, err = run(capsys, "pit", bad, "--read", "1", "--mode", "compose")
-    assert (code, out, err) == (2, "", "error: invalid program: sink level has 2 nodes, want 1\n")
+    code, out, err = run(capsys, command[0], bad, *command[1:])
+    assert (code, out, err) == (2, "", f"error: invalid program: {problem}\n")
 
 
 def test_pit_grid_budget_exceeded(capsys, fixtures_dir):

@@ -7,6 +7,7 @@ from math import prod
 
 import pytest
 
+import oabp.abp
 import oabp.pit
 import oabp.transforms
 from oabp.abp import (
@@ -18,6 +19,7 @@ from oabp.abp import (
     lift_constants,
     make_abp,
     resolve_order,
+    zero_abp,
 )
 from oabp.corpus import standard_corpus
 from oabp.errors import BudgetError, FieldError, StructureError
@@ -137,6 +139,26 @@ def test_hitset_zero_exhausts_grid():
     v = hitset_test(abp_oracle(neg), 2, 1, Q)
     assert v.verdict == "ZERO"
     assert v.queries == 54
+
+
+def test_hitset_groups_the_program_once_per_verdict(monkeypatch):
+    calls = []
+    grouping = oabp.abp._layers
+
+    def counted(a):
+        calls.append(a)
+        return grouping(a)
+
+    monkeypatch.setattr(oabp.abp, "_layers", counted)
+    monkeypatch.setattr(oabp.pit, "_layers", counted)
+    per_verdict = []
+    for n, queries in ((1, 2), (2, 54)):
+        calls.clear()
+        v = hitset_test_abp(zero_abp(Q, n), 1)
+        assert (v.verdict, v.queries) == ("ZERO", queries)
+        per_verdict.append(len(calls))
+    # grouping on every query would group the 54-query verdict 52 more times
+    assert per_verdict[0] == per_verdict[1]
 
 
 def test_hitset_grid_budget_error_mentions_compose():
