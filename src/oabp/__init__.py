@@ -22,7 +22,6 @@ from .abp import (
     infer_order,
     make_abp,
     prune,
-    restrict,
     stats,
     validate,
     zero_abp,
@@ -43,11 +42,9 @@ from .fields import (
     rationals,
 )
 from .families import (
-    DerivMatrix,
     OrderSeparation,
     VarSplit,
     deriv_matrix,
-    deriv_matrix_rank,
     elementary_symmetric_abp,
     full_rank_poly,
     middle_partition,

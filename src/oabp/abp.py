@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .errors import BudgetError, StructureError
 from .fields import Field
@@ -289,7 +289,11 @@ def check_order(a: Abp, pi: Permutation) -> bool:
     One forward pass: track, per node, the largest rank seen on any path into
     it; a variable edge must carry a strictly larger rank than that.
     """
-    layers = _layers(a)
+    return _respects(a, _layers(a), pi)
+
+
+def _respects(a: Abp, layers: list[list[Edge]], pi: Permutation) -> bool:
+    """check_order on a grouping _layers already made."""
     if pi.n != a.num_vars:
         raise StructureError(
             f"order over {pi.n} variables, program has {a.num_vars}"
@@ -317,11 +321,22 @@ def infer_order(a: Abp) -> Permutation | None:
     on a path, then topologically sorts them, smallest variable index first.
     A variable repeated on one path makes the program unorderable.
     """
+    layers = _layers(a)
+    pi = _inferred(a, layers)
+    # the construction guarantees the order; this checks the construction
+    if pi is not None and not _respects(a, layers, pi):  # pragma: no cover
+        raise StructureError("inferred order failed verification")
+    return pi
+
+
+def _inferred(a: Abp, layers: list[list[Edge]]) -> Permutation | None:
+    """infer_order on a grouping _layers already made, without its final
+    check of the order it found."""
     before: dict[str, frozenset[int]] = {
         node: frozenset() for lvl in a.levels for node in lvl
     }
     constraints: set[tuple[int, int]] = set()
-    for layer in _layers(a):
+    for layer in layers:
         for e in layer:
             carried = before[e.src]
             if isinstance(e.label, VarLabel):
@@ -355,10 +370,7 @@ def infer_order(a: Abp) -> Permutation | None:
     image = [0] * n
     for rank, i in enumerate(sequence, start=1):
         image[i - 1] = rank
-    pi = Permutation(image)
-    if not check_order(a, pi):  # pragma: no cover - construction guarantees it
-        raise StructureError("inferred order failed verification")
-    return pi
+    return Permutation(image)
 
 
 def resolve_order(a: Abp, pi: Permutation | None = None) -> Permutation:
@@ -367,11 +379,17 @@ def resolve_order(a: Abp, pi: Permutation | None = None) -> Permutation:
     Takes pi, else the declared order, else an inferred one, and raises
     StructureError when there is none or the program does not respect it.
     """
+    return _resolved(a, _layers(a), pi)
+
+
+def _resolved(a: Abp, layers: list[list[Edge]], pi: Permutation | None) -> Permutation:
+    """resolve_order on a grouping _layers already made: one order check,
+    whether pi was passed, declared or inferred."""
     if pi is None:
-        pi = a.order if a.order is not None else infer_order(a)
+        pi = a.order if a.order is not None else _inferred(a, layers)
     if pi is None:
         raise StructureError("program respects no variable order")
-    if not check_order(a, pi):
+    if not _respects(a, layers, pi):
         raise StructureError(f"program does not respect the order {list(pi.variable_sequence())}")
     return pi
 
@@ -451,26 +469,6 @@ def expand(a: Abp, budget: int | None = DEFAULT_TERM_BUDGET) -> SparsePoly:
         _poly_transfer(f, budget), SparsePoly.add, None if budget is None else check_budget,
     )
     return polys.get(a.sink, SparsePoly.zero(f))
-
-
-def restrict(a: Abp, assignment: Mapping[int, Any]) -> Abp:
-    """Substitute constants for some variables.
-
-    Affected edges become constant edges; edges whose constant is zero are
-    removed.  Levels are unchanged.
-    """
-    f = a.field
-    zero = f.zero()
-    new_edges: list[Edge] = []
-    for e in a.edges:
-        if isinstance(e.label, VarLabel) and e.label.index in assignment:
-            val = assignment[e.label.index]
-            if val == zero:
-                continue
-            new_edges.append(Edge(e.src, e.dst, ConstLabel(val)))
-        else:
-            new_edges.append(e)
-    return Abp(f, a.num_vars, a.levels, tuple(new_edges), a.order)
 
 
 def zero_abp(field: Field, num_vars: int, order: Permutation | None = None) -> Abp:

@@ -58,7 +58,6 @@ from .pit import (
     compose_test,
     hitset_test_abp,
     random_probe,
-    seed_grid_size,
 )
 from .poly import DEFAULT_TERM_BUDGET, SparsePoly, var_sort_key
 from .serialize import (

@@ -1,9 +1,10 @@
 """Named program families and rank-based read lower bounds.
 
 The lower-bound machinery maps a multilinear polynomial and a split of its
-variables into y-side and z-side to a 2^n-by-2^n coefficient matrix; the
-matrix rank under the split induced by the middle of a variable order lower
-bounds the read of any program computing the polynomial in that order.
+variables into y-side and z-side to a 2^n-by-2^n coefficient matrix, kept
+as the sparse rows its terms fill; the matrix rank under the split induced
+by the middle of a variable order lower bounds the read of any program
+computing the polynomial in that order.
 
 Families:
 * elementary symmetric polynomials, as a grid-shaped program of read k
@@ -35,7 +36,6 @@ from .linalg import matrix_rank
 from .poly import SparsePoly
 
 DEFAULT_WEIGHT_PRIME = (1 << 31) - 1
-DEFAULT_MATRIX_VARS = 10  # caps the 4^n cells a dense DerivMatrix allocates
 DEFAULT_SUBSET_CAP = 5  # permanent branches: 2^n subsets
 
 
@@ -74,30 +74,23 @@ def middle_partition(pi: Permutation) -> VarSplit:
     return VarSplit(ys, zs, excluded=pi.at_rank(n + 1))
 
 
-@dataclass(frozen=True)
-class DerivMatrix:
-    """Coefficient matrix of a multilinear polynomial under a split.
+def deriv_matrix(p: SparsePoly, split: VarSplit) -> list[dict[int, Any]]:
+    """Coefficient matrix of a multilinear polynomial under a split, as
+    sparse rows.
 
     Row e, column f (bitmask indices, bit i addressing the (i+1)-th listed
     variable) holds the coefficient of the monomial with exactly the y-side
-    support e and z-side support f.
+    support e and z-side support f.  One ``{f: coeff}`` dict is returned per
+    nonempty row, in increasing e; the zero rows and entries are left out.
+    Each term fills its own cell: a multilinear monomial is the set of its
+    variables, and when they all lie in the split, that set is e's variables
+    together with f's, so no two terms share an (e, f).
     """
-
-    split: VarSplit
-    rows: tuple[tuple[Any, ...], ...]
-
-
-def deriv_matrix(p: SparsePoly, split: VarSplit) -> DerivMatrix:
-    n = split.n
-    if n > DEFAULT_MATRIX_VARS:
-        raise BudgetError(f"split has {n} variable pairs, cap is {DEFAULT_MATRIX_VARS}")
     if not p.is_multilinear():
         raise StructureError("coefficient matrix needs a multilinear polynomial")
     y_pos = {v: i for i, v in enumerate(split.y_vars)}
     z_pos = {v: i for i, v in enumerate(split.z_vars)}
-    field = p.field
-    size = 1 << n
-    rows = [[field.zero()] * size for _ in range(size)]
+    rows: dict[int, dict[int, Any]] = {}
     for mono, coeff in p.terms.items():
         e = f = 0
         for v, _ in mono:
@@ -107,13 +100,8 @@ def deriv_matrix(p: SparsePoly, split: VarSplit) -> DerivMatrix:
                 f |= 1 << z_pos[v]
             else:
                 raise StructureError(f"variable x_{v} is outside the split")
-        rows[e][f] = field.add(rows[e][f], coeff)
-    return DerivMatrix(split, tuple(tuple(r) for r in rows))
-
-
-def deriv_matrix_rank(p: SparsePoly, split: VarSplit) -> tuple[DerivMatrix, int]:
-    m = deriv_matrix(p, split)
-    return m, matrix_rank(p.field, m.rows)
+        rows.setdefault(e, {})[f] = coeff
+    return [rows[e] for e in sorted(rows)]
 
 
 def read_lower_bound(target: SparsePoly | Abp, pi: Permutation) -> int:
@@ -122,20 +110,12 @@ def read_lower_bound(target: SparsePoly | Abp, pi: Permutation) -> int:
 
     Requires an odd variable count and multilinearity; the bound is the rank
     of the middle-split matrix of the derivative with respect to the middle
-    variable.
+    variable.  The rank comes from the matrix's sparse rows, so the split
+    may have any number of variable pairs.
     """
     p = expand(target) if isinstance(target, Abp) else target
     split = middle_partition(pi)
-    deriv = p.derivative(split.excluded)
-    vars_outside = deriv.variables() - set(split.y_vars) - set(split.z_vars)
-    if vars_outside:
-        raise StructureError(
-            f"derivative mentions unsplit variables {sorted(vars_outside)}"
-        )
-    if deriv.is_zero:
-        return 0
-    _, rank = deriv_matrix_rank(deriv, split)
-    return rank
+    return matrix_rank(p.field, deriv_matrix(p.derivative(split.excluded), split))
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +472,7 @@ def verify_full_rank(
             for ys in itertools.combinations(others, n):
                 zs = tuple(v for v in others if v not in ys)
                 split = VarSplit(tuple(ys), zs, excluded=d)
-                _, rank = deriv_matrix_rank(deriv, split)
+                rank = matrix_rank(field, deriv_matrix(deriv, split))
                 checks.append(SplitCheck(d, tuple(ys), rank, expected))
         report.attempts.append(FullRankAttempt(use_seed, checks))
         if report.attempts[-1].ok:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterator
+from typing import Any
 
 from .errors import BudgetError, FieldError, FormatError
 
@@ -164,6 +164,17 @@ def find_irreducible(p: int, d: int, budget: int = DEFAULT_SEARCH_BUDGET) -> tup
 # ---------------------------------------------------------------------------
 
 
+def _json_int(v: Any, what: str, below: int | None = None) -> int:
+    """v, when JSON gave an integer (not a boolean, which Python counts as
+    an int, nor a float) and, if below is given, one in [0, below); else
+    FormatError naming what was read."""
+    if type(v) is not int:
+        raise FormatError(f"bad {what}: {v!r} is not an integer")
+    if below is not None and not 0 <= v < below:
+        raise FormatError(f"bad {what}: {v} is out of range [0, {below})")
+    return v
+
+
 @dataclass(frozen=True)
 class FieldConfig:
     """Serializable description of a field.
@@ -198,16 +209,18 @@ class FieldConfig:
             if kind == "rational":
                 return FieldConfig("rational")
             if kind == "prime":
-                return FieldConfig("prime", p=int(data["p"]))
+                return FieldConfig("prime", p=_json_int(data["p"], "field p"))
             if kind == "extension":
                 modulus = data.get("modulus")
+                if modulus is not None:
+                    modulus = tuple(_json_int(c, "modulus coefficient") for c in modulus)
                 return FieldConfig(
                     "extension",
-                    p=int(data["p"]),
-                    deg=int(data["deg"]),
-                    modulus=tuple(int(c) for c in modulus) if modulus is not None else None,
+                    p=_json_int(data["p"], "field p"),
+                    deg=_json_int(data["deg"], "field deg"),
+                    modulus=modulus,
                 )
-        except (KeyError, OverflowError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise FormatError(f"bad field config {data!r}: {exc}") from exc
         raise FormatError(f"unknown field kind {kind!r}")
 
@@ -383,11 +396,7 @@ class PrimeField(Field):
         return a
 
     def element_from_json(self, v):
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise FormatError(f"bad residue {v!r} for F_{self.p}")
-        if not 0 <= v < self.p:
-            raise FormatError(f"residue {v} out of range for F_{self.p}")
-        return v
+        return _json_int(v, f"residue for F_{self.p}", below=self.p)
 
     def element_to_text(self, a) -> str:
         return str(a)
@@ -525,10 +534,7 @@ class ExtensionField(Field):
     def element_from_json(self, v):
         if not isinstance(v, list) or len(v) != self.deg:
             raise FormatError(f"bad extension element {v!r}: need {self.deg} coefficients")
-        try:
-            return tuple(int(c) % self.p for c in v)
-        except (TypeError, ValueError) as exc:
-            raise FormatError(f"bad extension element {v!r}") from exc
+        return tuple(_json_int(c, f"coefficient for F_{self.p}", below=self.p) for c in v)
 
     def element_to_text(self, a) -> str:
         return ":".join(str(c) for c in a)

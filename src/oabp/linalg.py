@@ -13,8 +13,7 @@ residual is kept under its smallest key, which no kept row has as pivot.
 The pivot order changes no result: kept rows are independent, so each
 combination ``insert`` reports is unique, and the rank is the span's size.
 
-``matrix_rank`` feeds the rows of a dense matrix, keyed by column index,
-through a ``SpanBuilder``.
+``matrix_rank`` feeds the sparse rows of a matrix through a ``SpanBuilder``.
 """
 
 from __future__ import annotations
@@ -24,12 +23,12 @@ from typing import Any, Sequence
 from .fields import Field
 
 
-def matrix_rank(field: Field, rows: Sequence[Sequence]) -> int:
-    """Rank of a dense matrix given as a list of rows; rows are not modified."""
-    zero = field.zero()
+def matrix_rank(field: Field, rows: Sequence[dict]) -> int:
+    """Rank of a matrix given as a list of sparse rows (dicts column ->
+    field element); rows are not modified."""
     span = SpanBuilder(field)
     for i, row in enumerate(rows):
-        span.insert({col: c for col, c in enumerate(row) if c != zero}, i)
+        span.insert(row, i)
     return span.rank
 
 

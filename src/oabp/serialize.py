@@ -20,10 +20,11 @@ Polynomial files:
     {"field": {"kind": "rational"},
      "terms": [{"coeff": "1", "exps": {"1": 1, "2": 1}}]}
 
-Exponent keys are decimal strings for program variables and seed names
-(like "z1") otherwise.  Elements serialize per field: rationals as "p/q"
-strings in lowest terms (bare integers when q = 1), prime-field residues as
-integers, extension elements as coefficient lists, constant term first.
+Exponent keys are canonical decimal strings from "1" for program variables
+and seed names (like "z1") otherwise.  Elements serialize per field:
+rationals as "p/q" strings in lowest terms (bare integers when q = 1),
+prime-field residues as integers, extension elements as coefficient lists,
+constant term first.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Any
 
 from .abp import Abp, ConstLabel, Edge, Permutation, VarLabel
 from .errors import FormatError
-from .fields import Field, FieldConfig, make_field
+from .fields import FieldConfig, make_field
 from .poly import SparsePoly, mono_sort_key, var_sort_key
 
 
@@ -142,9 +143,14 @@ def _var_to_key(v) -> str:
 
 
 def _key_to_var(s: str):
-    if s.isdigit():
-        return int(s)
-    return s
+    """A decimal key names program variable x_s, any other key a seed name;
+    program variables are x_1, x_2, ... in canonical decimal, so "0" and
+    "01" are refused."""
+    if not (s.isascii() and s.isdigit()):
+        return s
+    if s[0] == "0":
+        raise FormatError(f"bad variable key {s!r}: want an index >= 1, no leading zeros")
+    return int(s)
 
 
 def poly_to_json(p: SparsePoly) -> dict:
@@ -177,8 +183,6 @@ def poly_from_json(data: Any) -> SparsePoly:
                 raise FormatError(f"bad exponent {e!r} for {key!r}")
             mono_items.append((_key_to_var(key), e))
         mono = tuple(sorted(mono_items, key=lambda it: var_sort_key(it[0])))
-        if len({v for v, _ in mono}) != len(mono):
-            raise FormatError(f"repeated variable in term {item!r}")
         if mono in acc:
             acc[mono] = field.add(acc[mono], coeff)
         else:

@@ -25,9 +25,9 @@ from .abp import (
     _oblivious_report,
     _poly_transfer,
     _pruned,
+    _resolved,
     _sweep,
     expand,  # noqa: F401 - a lookup site the benchmark tracer wraps
-    resolve_order,
     zero_abp,
 )
 from .errors import StructureError
@@ -72,7 +72,7 @@ def obliviate(a: Abp, pi: Permutation | None = None) -> Abp:
     the result if compactness matters more than exact read counts.
     """
     layers = _layers(a)
-    pi = resolve_order(a, pi)
+    pi = _resolved(a, layers, pi)
     f = a.field
     zero = f.zero()
     n = a.num_vars

@@ -125,6 +125,27 @@ def dense_rank(field, rows) -> int:
     return rank
 
 
+def dense_deriv_matrix(p, split):
+    """Coefficient matrix of a multilinear polynomial under a split, dense:
+    all 2^n rows of 2^n cells, row e column f holding the coefficient of the
+    monomial with y-side support e and z-side support f."""
+    y_pos = {v: i for i, v in enumerate(split.y_vars)}
+    z_pos = {v: i for i, v in enumerate(split.z_vars)}
+    field = p.field
+    size = 1 << split.n
+    rows = [[field.zero()] * size for _ in range(size)]
+    for mono, coeff in p.terms.items():
+        e = f = 0
+        for v, exp in mono:
+            assert exp == 1 and (v in y_pos or v in z_pos), (mono, split)
+            if v in y_pos:
+                e |= 1 << y_pos[v]
+            else:
+                f |= 1 << z_pos[v]
+        rows[e][f] = field.add(rows[e][f], coeff)
+    return rows
+
+
 def mono_mul_reference(m1, m2):
     """Product of two monomials: collect exponents in a dict, then sort."""
     if not m1:

@@ -20,7 +20,6 @@ from oabp.abp import (
     lift_constants,
     make_abp,
     prune,
-    restrict,
     stats,
     validate,
     zero_abp,
@@ -343,19 +342,7 @@ def test_evaluate_over_extension():
     assert evaluate(a, (x, x)) == F8.mul(x, x)
 
 
-# -- restrict, prune, lift ----------------------------------------------------
-
-
-def test_restrict_matches_substitution():
-    a = two_path()
-    b = restrict(a, {1: Fraction(4)})
-    assert expand(b) == expand(a).substitute({1: Fraction(4)})
-
-
-def test_restrict_to_zero_removes_paths():
-    a = make_abp(Q, 2, [["s"], ["m"], ["t"]], [("s", "m", VarLabel(1)), ("m", "t", VarLabel(2))])
-    b = restrict(a, {1: Fraction(0)})
-    assert expand(b).is_zero
+# -- prune, lift ---------------------------------------------------------------
 
 
 def test_prune_drops_dead_branches():

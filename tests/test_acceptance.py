@@ -26,7 +26,7 @@ from oabp.corpus import odd_variable_corpus, standard_corpus
 from oabp.families import (
     brute_elementary_symmetric,
     brute_permanent,
-    deriv_matrix_rank,
+    deriv_matrix,
     elementary_symmetric_abp,
     middle_partition,
     order_separation_family,
@@ -42,6 +42,7 @@ from oabp.generator import (
     seed_degree_bounds,
     seed_names,
 )
+from oabp.linalg import matrix_rank
 from oabp.pit import PitOptions, compose_test, hitset_test_abp, seed_grid_size
 from oabp.poly import SparsePoly
 from oabp.transforms import cut_decompose, derivative_abp, obliviate, reduce_independent
@@ -226,15 +227,18 @@ def test_c08_symmetric_family_rank_lower_side():
             dp = p.derivative(k)
             split = middle_partition(Permutation.identity(m))
             assert split.excluded == k
-            mat, rank = deriv_matrix_rank(dp, split)
-            assert rank == k, k
+            rows = deriv_matrix(dp, split)
+            assert matrix_rank(Q, rows) == k, k
+            # every y-support of at most k - 1 variables meets a z-support,
+            # so no row is empty and rows[e] is row e
+            assert len(rows) == 1 << split.n, k
             # the prefix-support minor is exactly the antidiagonal
             # permutation matrix: a y-prefix of size a pairs with a z-prefix
             # of size b iff a + b = k - 1
             for a in range(k):
                 for b in range(k):
                     want = one if a + b == k - 1 else zero
-                    assert mat.rows[(1 << a) - 1][(1 << b) - 1] == want, (k, a, b)
+                    assert rows[(1 << a) - 1].get((1 << b) - 1, zero) == want, (k, a, b)
         info["note"] = "rank equals k for k in 2..4, minor verified"
 
 

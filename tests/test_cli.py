@@ -51,6 +51,7 @@ def test_missing_file_is_a_runtime_error(capsys):
 
 PROGRAM_HEAD = {"field": {"kind": "rational"}, "num_vars": 1, "levels": [["s"], ["t"]]}
 POLY_HEAD = {"field": {"kind": "rational"}}
+F9_HEAD = {"field": {"kind": "extension", "p": 3, "deg": 2}}
 
 
 @pytest.mark.parametrize(
@@ -69,11 +70,20 @@ POLY_HEAD = {"field": {"kind": "rational"}}
         {**PROGRAM_HEAD, "edges": [], "order": [True]},
         {**POLY_HEAD, "terms": [{"coeff": "1", "exps": {"1": True}}]},
         {**POLY_HEAD, "terms": [{"coeff": "1", "exps": {"": 1}}]},
+        {"field": {"kind": "prime", "p": 7.9}, "terms": []},
+        {"field": {"kind": "prime", "p": True}, "terms": []},
+        {"field": {"kind": "extension", "p": 3, "deg": 2.0}, "terms": []},
+        {**F9_HEAD, "terms": [{"coeff": [1.5, 0], "exps": {}}]},
+        {**F9_HEAD, "terms": [{"coeff": [3, 0], "exps": {}}]},
+        {**POLY_HEAD, "terms": [{"coeff": "1", "exps": {"0": 1}}]},
+        {**POLY_HEAD, "terms": [{"coeff": "1", "exps": {"01": 1}}]},
     ],
     ids=[
         "edges-int", "label-string", "terms-int", "exps-list", "prime-p-string", "prime-p-inf",
         "endpoint-list", "endpoint-int", "num-vars-bool", "var-bool", "order-bool",
-        "exponent-bool", "exponent-key-empty",
+        "exponent-bool", "exponent-key-empty", "prime-p-float", "prime-p-bool",
+        "extension-deg-float", "extension-coeff-float", "extension-coeff-range", "exponent-key-zero",
+        "exponent-key-leading-zero",
     ],
 )
 def test_malformed_file_is_a_runtime_error(capsys, tmp_path, data):

@@ -5,7 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from oabp.abp import Permutation, check_oblivious, check_order, evaluate, expand, stats, validate
+from oabp.abp import (
+    Permutation,
+    check_oblivious,
+    check_order,
+    evaluate,
+    expand,
+    resolve_order,
+    stats,
+    validate,
+)
+from oabp.corpus import odd_variable_corpus
 from oabp.errors import BudgetError, StructureError
 from oabp.families import (
     DEFAULT_WEIGHT_PRIME,
@@ -13,7 +23,6 @@ from oabp.families import (
     brute_elementary_symmetric,
     brute_permanent,
     deriv_matrix,
-    deriv_matrix_rank,
     elementary_symmetric_abp,
     full_rank_poly,
     middle_partition,
@@ -25,7 +34,9 @@ from oabp.families import (
     verify_full_rank,
 )
 from oabp.fields import prime_field, rationals
+from oabp.linalg import matrix_rank
 from oabp.poly import SparsePoly
+from reference import dense_deriv_matrix, dense_rank
 
 Q = rationals()
 
@@ -63,10 +74,10 @@ def test_var_split_validation():
 def test_deriv_matrix_frozen():
     # d(x1x2 + x1x3 + x2x3)/dx2 = x1 + x3
     p = brute_elementary_symmetric(Q, 3, 2).derivative(2)
-    m = deriv_matrix(p, VarSplit((1,), (3,)))
-    assert m.rows == ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)))
-    _, rank = deriv_matrix_rank(p, VarSplit((1,), (3,)))
-    assert rank == 2
+    rows = deriv_matrix(p, VarSplit((1,), (3,)))
+    # row e = 0 holds x3 (column f = 1), row e = 1 holds x1 (column f = 0)
+    assert rows == [{1: Fraction(1)}, {0: Fraction(1)}]
+    assert matrix_rank(Q, rows) == 2
 
 
 def test_deriv_matrix_rejections():
@@ -76,9 +87,19 @@ def test_deriv_matrix_rejections():
     stray = SparsePoly.variable(Q, 4)
     with pytest.raises(StructureError):
         deriv_matrix(stray, VarSplit((1,), (3,)))
-    wide = VarSplit(tuple(range(1, 12)), tuple(range(12, 23)))
-    with pytest.raises(BudgetError):
-        deriv_matrix(SparsePoly.variable(Q, 1), wide)
+    # a split of 11 variable pairs is not refused: the rows are sparse
+    assert read_lower_bound(elementary_symmetric_abp(23, 2), Permutation.identity(23)) == 2
+
+
+def test_sparse_rank_matches_the_dense_reference_on_the_odd_corpus():
+    for member in odd_variable_corpus():
+        a = member.abp
+        pi = resolve_order(a)
+        split = middle_partition(pi)
+        deriv = expand(a).derivative(split.excluded)
+        want = dense_rank(Q, dense_deriv_matrix(deriv, split))
+        assert matrix_rank(Q, deriv_matrix(deriv, split)) == want, member.name
+        assert read_lower_bound(a, pi) == want, member.name
 
 
 def test_read_lower_bound_poly_and_program_agree():

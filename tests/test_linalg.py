@@ -12,8 +12,13 @@ from reference import dense_rank
 Q = rationals()
 
 
+def sparse(field, rows):
+    """The rows of a dense matrix as the dicts matrix_rank takes, zeros left out."""
+    return [{j: c for j, c in enumerate(row) if c != field.zero()} for row in rows]
+
+
 def frac_rows(rows):
-    return [[Fraction(x) for x in row] for row in rows]
+    return sparse(Q, [[Fraction(x) for x in row] for row in rows])
 
 
 def test_rank_hand_cases():
@@ -28,10 +33,10 @@ def test_rank_hand_cases():
 def test_rank_over_prime_field():
     F5 = prime_field(5)
     # dependent only in characteristic 5: [2,4,1] = 2*[1,2,3] because 6 = 1
-    assert matrix_rank(F5, [[1, 2, 3], [2, 4, 1]]) == 1
+    assert matrix_rank(F5, sparse(F5, [[1, 2, 3], [2, 4, 1]])) == 1
     assert matrix_rank(Q, frac_rows([[1, 2, 3], [2, 4, 1]])) == 2
-    assert matrix_rank(F5, [[1, 2, 3], [2, 4, 2]]) == 2
-    assert matrix_rank(F5, [[0, 0], [0, 1]]) == 1
+    assert matrix_rank(F5, sparse(F5, [[1, 2, 3], [2, 4, 2]])) == 2
+    assert matrix_rank(F5, sparse(F5, [[0, 0], [0, 1]])) == 1
 
 
 def test_rank_row_permutation_invariant():
@@ -40,7 +45,7 @@ def test_rank_row_permutation_invariant():
         rows = [[Fraction(rng.randint(-3, 3)) for _ in range(4)] for _ in range(4)]
         shuffled = rows[:]
         rng.shuffle(shuffled)
-        assert matrix_rank(Q, rows) == matrix_rank(Q, shuffled)
+        assert matrix_rank(Q, sparse(Q, rows)) == matrix_rank(Q, sparse(Q, shuffled))
 
 
 def test_rank_bounded_by_dimensions_and_additivity():
@@ -49,11 +54,11 @@ def test_rank_bounded_by_dimensions_and_additivity():
         m = rng.randint(1, 5)
         n = rng.randint(1, 5)
         rows = [[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(m)]
-        r = matrix_rank(Q, rows)
+        r = matrix_rank(Q, sparse(Q, rows))
         assert 0 <= r <= min(m, n)
         # appending a linear combination of existing rows never raises rank
         combo = [sum(row[j] for row in rows) for j in range(n)]
-        assert matrix_rank(Q, rows + [combo]) == r
+        assert matrix_rank(Q, sparse(Q, rows + [combo])) == r
 
 
 def test_span_builder_matches_matrix_rank():
@@ -70,7 +75,7 @@ def test_span_builder_matches_matrix_rank():
             if sb.insert(dict(row), i) is None:
                 kept += 1
         dense = [[row.get(j, Fraction(0)) for j in range(n)] for row in rows]
-        assert kept == matrix_rank(Q, dense) == dense_rank(Q, dense), f"trial {trial}"
+        assert kept == matrix_rank(Q, rows) == dense_rank(Q, dense), f"trial {trial}"
 
 
 def draw(field, rng):
@@ -112,9 +117,10 @@ def test_ranks_match_the_dense_reference(field):
     rng = random.Random(7)
     for rows in shaped_matrices(field, rng):
         want = dense_rank(field, rows)
-        snapshot = [list(r) for r in rows]
-        assert matrix_rank(field, rows) == want, rows
-        assert rows == snapshot  # the input is left as it was
+        sparse_rows = sparse(field, rows)
+        snapshot = [dict(r) for r in sparse_rows]
+        assert matrix_rank(field, sparse_rows) == want, rows
+        assert sparse_rows == snapshot  # the input is left as it was
         # negated keys make the builder pivot on the largest column first
         sb = SpanBuilder(field)
         for i, row in enumerate(rows):

@@ -141,7 +141,9 @@ def test_hitset_zero_exhausts_grid():
     assert v.queries == 54
 
 
-def test_hitset_groups_the_program_once_per_verdict(monkeypatch):
+def counted_groupings(monkeypatch):
+    """The list every _layers call appends its program to, wherever the
+    package looks _layers up."""
     calls = []
     grouping = oabp.abp._layers
 
@@ -149,8 +151,13 @@ def test_hitset_groups_the_program_once_per_verdict(monkeypatch):
         calls.append(a)
         return grouping(a)
 
-    monkeypatch.setattr(oabp.abp, "_layers", counted)
-    monkeypatch.setattr(oabp.pit, "_layers", counted)
+    for module in (oabp.abp, oabp.pit, oabp.transforms):
+        monkeypatch.setattr(module, "_layers", counted)
+    return calls
+
+
+def test_hitset_groups_the_program_once_per_verdict(monkeypatch):
+    calls = counted_groupings(monkeypatch)
     per_verdict = []
     for n, queries in ((1, 2), (2, 54)):
         calls.clear()
@@ -159,6 +166,20 @@ def test_hitset_groups_the_program_once_per_verdict(monkeypatch):
         per_verdict.append(len(calls))
     # grouping on every query would group the 54-query verdict 52 more times
     assert per_verdict[0] == per_verdict[1]
+
+
+def test_order_resolution_groups_the_program_once(monkeypatch):
+    calls = counted_groupings(monkeypatch)
+    member = standard_corpus()[0].abp
+    assert member.order is not None
+    for a in (member, replace(member, order=None)):
+        calls.clear()
+        compose_test(a, 2)
+        # once to resolve the order, once to expand
+        assert len(calls) == 2, a.order
+        calls.clear()
+        obliviate(a)
+        assert len(calls) == 1, a.order
 
 
 def test_hitset_grid_budget_error_mentions_compose():

@@ -170,10 +170,14 @@ def test_poly_exponent_validation():
     base["terms"] = [{"coeff": "1", "exps": {"1": -2}}]
     with pytest.raises(FormatError):
         poly_from_json(base)
+    # "01" is not a second name for x_1: keys are canonical decimals
     base["terms"] = [{"coeff": "1", "exps": {"1": 1, "01": 1}}]
     with pytest.raises(FormatError) as info:
         poly_from_json(base)
-    assert "repeated variable" in str(info.value)
+    assert "bad variable key '01'" in str(info.value)
+    # a non-ASCII digit is no decimal key: it names a variable, as "z1" does
+    base["terms"] = [{"coeff": "1", "exps": {"\u00b2": 1}}]
+    assert poly_from_json(base).variables() == {"\u00b2"}
 
 
 def test_poly_duplicate_monomials_accumulate():
