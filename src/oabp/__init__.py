@@ -56,7 +56,6 @@ from .families import (
 )
 from .generator import (
     GeneratorParams,
-    PolyMap,
     build_generator,
     eval_generator,
     points_needed,

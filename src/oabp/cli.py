@@ -40,7 +40,7 @@ from .families import (
     seeded_weights,
     DEFAULT_WEIGHT_PRIME,
 )
-from .fields import Field, extension_field, prime_field, rationals
+from .fields import Field, _json_int, extension_field, prime_field, rationals
 from .generator import (
     GeneratorParams,
     build_generator,
@@ -61,6 +61,7 @@ from .pit import (
 )
 from .poly import DEFAULT_TERM_BUDGET, SparsePoly, var_sort_key
 from .serialize import (
+    _parse,
     abp_dumps,
     poly_dumps,
     poly_to_json,
@@ -87,33 +88,38 @@ class CliConfig:
     output: str = "human"  # "human" | "json"
 
     def check(self) -> None:
-        if self.term_budget <= 0 or self.grid_budget <= 0:
-            raise FormatError("budgets must be positive")
-        if self.extension_cap <= 0:
-            raise FormatError("extension cap must be positive")
         if self.output not in ("human", "json"):
-            raise FormatError(f"unknown output mode {self.output!r}")
+            raise FormatError(f"bad output {self.output!r}: want 'human' or 'json'")
 
 
 def load_config(path: str | None) -> CliConfig:
+    """The defaults, overridden by the file at path or $OABP_CONFIG: a str
+    or an int (at least 1, but for the seed) per CliConfig field."""
     if path is None:
         path = os.environ.get(CONFIG_ENV_VAR)
     cfg = CliConfig()
-    if path:
-        try:
-            data = json.loads(Path(path).read_text())
-        except OSError as exc:
-            raise FormatError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"config {path} is not JSON: {exc}") from exc
+    if not path:
+        return cfg
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise FormatError(f"cannot read config {path}: {exc}") from exc
+    known = {f.name for f in dc_fields(CliConfig)}
+    try:
+        data = _parse(text)
         if not isinstance(data, dict):
-            raise FormatError(f"config {path} must hold a JSON object")
-        known = {f.name for f in dc_fields(CliConfig)}
+            raise FormatError("config must hold a JSON object")
         for key, value in data.items():
             if key not in known:
-                raise FormatError(f"config {path}: unknown key {key!r}")
+                raise FormatError(f"unknown key {key!r}")
+            if isinstance(getattr(cfg, key), int):  # the default's type
+                _json_int(value, key, None if key == "seed" else 1)
+            elif not isinstance(value, str):
+                raise FormatError(f"bad {key} {value!r}: not a string")
             setattr(cfg, key, value)
-    cfg.check()
+        cfg.check()
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     return cfg
 
 
@@ -146,7 +152,7 @@ def _load_file(path: str):
         raise FormatError(f"cannot read {path}: {exc}") from exc
     try:
         return sniff_load(text)
-    except FormatError as exc:
+    except OabpError as exc:  # a malformed file, or a field that is none
         raise FormatError(f"{path}: {exc}") from exc
 
 
@@ -286,7 +292,7 @@ def cmd_eval(args, cfg: CliConfig, emitter: _Emitter) -> int:
 
 def cmd_expand(args, cfg: CliConfig, emitter: _Emitter) -> int:
     a = _load_abp(args.file)
-    p = expand(a, budget=args.budget or cfg.term_budget)
+    p = expand(a, budget=cfg.term_budget if args.budget is None else args.budget)
     _write_artifact(
         poly_dumps(p),
         args.out,
@@ -357,16 +363,16 @@ def cmd_gen(args, cfg: CliConfig, emitter: _Emitter) -> int:
             [", ".join(field.element_to_text(v) for v in values)],
         )
         return 0
-    pm = build_generator(params, budget=cfg.term_budget)
+    components = build_generator(params, budget=cfg.term_budget)
     payload = {
         "k": args.k,
         "r": args.r,
         "seed_names": list(names),
         "seed_degree_bounds": list(seed_degree_bounds(args.k, args.r, 2**args.k)),
-        "components": [poly_to_json(c) for c in pm.outputs],
+        "components": [poly_to_json(c) for c in components],
     }
-    lines = [f"map with {len(names)} seeds {', '.join(names)} and {len(pm.outputs)} outputs:"]
-    for j, comp in enumerate(pm.outputs, start=1):
+    lines = [f"map with {len(names)} seeds {', '.join(names)} and {len(components)} outputs:"]
+    for j, comp in enumerate(components, start=1):
         lines.append(f"G{j} = {comp}")
     emitter.emit(payload, lines)
     return 0
@@ -391,8 +397,8 @@ def cmd_pit(args, cfg: CliConfig, emitter: _Emitter) -> int:
         pi = _parse_order(args.order, a.num_vars)
         a = Abp(a.field, a.num_vars, a.levels, a.edges, pi)
     opts = PitOptions(
-        grid_budget=args.grid_budget or cfg.grid_budget,
-        term_budget=args.term_budget or cfg.term_budget,
+        grid_budget=cfg.grid_budget if args.grid_budget is None else args.grid_budget,
+        term_budget=cfg.term_budget if args.term_budget is None else args.term_budget,
         extension_cap=cfg.extension_cap,
         trials=args.trials,
         seed=args.seed if args.seed is not None else cfg.seed,
@@ -501,7 +507,7 @@ def cmd_family(args, cfg: CliConfig, emitter: _Emitter) -> int:
 
 
 def cmd_equal(args, cfg: CliConfig, emitter: _Emitter) -> int:
-    budget = args.term_budget or cfg.term_budget
+    budget = cfg.term_budget if args.term_budget is None else args.term_budget
 
     def as_poly(path: str) -> SparsePoly:
         obj = _load_file(path)
@@ -537,6 +543,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _count(text: str) -> int:
+    """argparse type of the budget and trials flags: an integer >= 1."""
+    if not (text.isascii() and text.isdigit() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"want an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="oabp",
@@ -564,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("expand", cmd_expand, "expand a program to a polynomial file")
     p.add_argument("file")
     p.add_argument("-o", "--out", help="output file (default: stdout)")
-    p.add_argument("--budget", type=int, help="term budget")
+    p.add_argument("--budget", type=_count, help="term budget")
 
     p = add("obliviate", cmd_obliviate, "rewrite as an oblivious program")
     p.add_argument("file")
@@ -592,9 +605,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--read", type=int, required=True, help="read bound r")
     p.add_argument("--mode", choices=("hitset", "compose", "random"), default="hitset")
     p.add_argument("--order", help="override the variable order")
-    p.add_argument("--grid-budget", type=int, dest="grid_budget")
-    p.add_argument("--term-budget", type=int, dest="term_budget")
-    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS, help="samples in random mode")
+    p.add_argument("--grid-budget", type=_count, dest="grid_budget")
+    p.add_argument("--term-budget", type=_count, dest="term_budget")
+    p.add_argument("--trials", type=_count, default=DEFAULT_TRIALS, help="samples in random mode")
     p.add_argument("--seed", type=int, help="seed in random mode")
 
     p = add("rank", cmd_rank, "read lower bound from the derivative matrix")
@@ -613,7 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("equal", cmd_equal, "compare two files as polynomials")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--term-budget", type=int, dest="term_budget")
+    p.add_argument("--term-budget", type=_count, dest="term_budget")
 
     return parser
 

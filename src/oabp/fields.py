@@ -24,19 +24,34 @@ from .errors import BudgetError, FieldError, FormatError
 DEFAULT_SEARCH_BUDGET = 1 << 20
 
 
+# Miller-Rabin with these bases decides primality exactly below
+# 3.18 * 10^23 (Sorenson and Webster 2015), so for every n < 2^64.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality check, adequate at this scale."""
+    """Deterministic Miller-Rabin primality test; FieldError for n >= 2^64,
+    where its bases no longer make it exact."""
+    if n >= 1 << 64:
+        raise FieldError(f"p = {n} is not below 2^64")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -142,12 +157,11 @@ def find_irreducible(p: int, d: int, budget: int = DEFAULT_SEARCH_BUDGET) -> tup
         raise FieldError(f"p = {p} is not prime")
     if d < 1:
         raise FieldError(f"degree must be positive, got {d}")
-    total = p**d
-    if total > budget:
-        raise BudgetError(
-            f"irreducible search over {total} candidates exceeds budget {budget}"
-        )
-    for j in range(total):
+    # p >= 2, so d >= budget.bit_length() means p^d > budget: refuse before
+    # building p^d, which can be too large to print
+    if d >= budget.bit_length() or p**d > budget:
+        raise BudgetError(f"irreducible search over {p}^{d} candidates exceeds budget {budget}")
+    for j in range(p**d):
         lower = []
         t = j
         for _ in range(d):
@@ -164,14 +178,17 @@ def find_irreducible(p: int, d: int, budget: int = DEFAULT_SEARCH_BUDGET) -> tup
 # ---------------------------------------------------------------------------
 
 
-def _json_int(v: Any, what: str, below: int | None = None) -> int:
+def _json_int(v: Any, what: str, low: int | None = None, below: int | None = None) -> int:
     """v, when JSON gave an integer (not a boolean, which Python counts as
-    an int, nor a float) and, if below is given, one in [0, below); else
-    FormatError naming what was read."""
+    an int, nor a float) that is at least low and less than below, where
+    given; else FormatError naming what was read.  The one reader of every
+    integer in a file or config."""
     if type(v) is not int:
-        raise FormatError(f"bad {what}: {v!r} is not an integer")
-    if below is not None and not 0 <= v < below:
-        raise FormatError(f"bad {what}: {v} is out of range [0, {below})")
+        raise FormatError(f"bad {what} {v!r}: not an integer")
+    if low is not None and v < low:
+        raise FormatError(f"bad {what} {v}: want at least {low}")
+    if below is not None and v >= below:
+        raise FormatError(f"bad {what} {v}: want less than {below}")
     return v
 
 
@@ -211,14 +228,12 @@ class FieldConfig:
             if kind == "prime":
                 return FieldConfig("prime", p=_json_int(data["p"], "field p"))
             if kind == "extension":
+                p = _json_int(data["p"], "field p")
                 modulus = data.get("modulus")
                 if modulus is not None:
-                    modulus = tuple(_json_int(c, "modulus coefficient") for c in modulus)
+                    modulus = tuple(_json_int(c, "modulus coefficient", 0, p) for c in modulus)
                 return FieldConfig(
-                    "extension",
-                    p=_json_int(data["p"], "field p"),
-                    deg=_json_int(data["deg"], "field deg"),
-                    modulus=modulus,
+                    "extension", p=p, deg=_json_int(data["deg"], "field deg"), modulus=modulus
                 )
         except (KeyError, TypeError) as exc:
             raise FormatError(f"bad field config {data!r}: {exc}") from exc
@@ -342,13 +357,20 @@ class RationalField(Field):
         return str(a)
 
     def element_from_json(self, v):
-        try:
-            return Fraction(str(v))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise FormatError(f"bad rational {v!r}: {exc}") from exc
+        # no float: JSON's 0.1 is a binary approximation, and 1e-400 reads as 0.0
+        if type(v) is int:
+            return Fraction(v)
+        if not isinstance(v, str):
+            raise FormatError(f"bad rational {v!r}: want a string or an integer")
+        return self.element_from_text(v)
 
     element_to_text = element_to_json
-    element_from_text = element_from_json
+
+    def element_from_text(self, s: str):
+        try:
+            return Fraction(s)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise FormatError(f"bad rational {s!r}: {exc}") from exc
 
 
 class PrimeField(Field):
@@ -396,7 +418,7 @@ class PrimeField(Field):
         return a
 
     def element_from_json(self, v):
-        return _json_int(v, f"residue for F_{self.p}", below=self.p)
+        return _json_int(v, f"F_{self.p} residue", 0, self.p)
 
     def element_to_text(self, a) -> str:
         return str(a)
@@ -470,37 +492,10 @@ class ExtensionField(Field):
         return tuple([c % p for c in prod[:d]])
 
     def inv(self, a):
-        # extended Euclid in F_p[x]
-        p = self.p
-        r0, r1 = list(self.modulus), _trim(list(a))
-        if not r1:
+        # the nonzero elements form a group of order p^deg - 1
+        if not any(a):
             raise FieldError("division by zero")
-        s0, s1 = [], [1]
-        while r1:
-            # divide r0 by r1
-            rem = list(r0)
-            dm = len(r1) - 1
-            lead_inv = pow(r1[-1], p - 2, p)
-            qc = [0] * (max(len(rem) - len(r1) + 1, 0))
-            while len(rem) - 1 >= dm and rem:
-                c = (rem[-1] * lead_inv) % p
-                shift = len(rem) - 1 - dm
-                qc[shift] = c
-                for j, mj in enumerate(r1):
-                    rem[shift + j] = (rem[shift + j] - c * mj) % p
-                _trim(rem)
-            q = _trim(qc)
-            r0, r1 = r1, rem
-            qs1 = _pmul(q, s1, p)
-            new_s = [0] * max(len(s0), len(qs1))
-            for i, c in enumerate(s0):
-                new_s[i] = c
-            for i, c in enumerate(qs1):
-                new_s[i] = (new_s[i] - c) % p
-            s0, s1 = s1, _trim(new_s)
-        # r0 is the gcd, a unit since modulus is irreducible
-        lead_inv = pow(r0[-1], p - 2, p)
-        return self._wrap([(c * lead_inv) % p for c in s0])
+        return self.pow(a, self.p**self.deg - 2)
 
     def from_int(self, n: int):
         return self._wrap([n % self.p])
@@ -534,7 +529,7 @@ class ExtensionField(Field):
     def element_from_json(self, v):
         if not isinstance(v, list) or len(v) != self.deg:
             raise FormatError(f"bad extension element {v!r}: need {self.deg} coefficients")
-        return tuple(_json_int(c, f"coefficient for F_{self.p}", below=self.p) for c in v)
+        return tuple(_json_int(c, f"F_{self.p} coefficient", 0, self.p) for c in v)
 
     def element_to_text(self, a) -> str:
         return ":".join(str(c) for c in a)

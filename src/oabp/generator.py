@@ -104,14 +104,6 @@ class GeneratorParams:
         )
 
 
-@dataclass(frozen=True)
-class PolyMap:
-    """A tuple of polynomials over named seed variables."""
-
-    inputs: tuple[str, ...]
-    outputs: tuple[SparsePoly, ...]
-
-
 def _barycentric(field: Field, nodes: Sequence) -> tuple[tuple, tuple]:
     """(negated nodes, barycentric weights w_i = 1 / prod_{j != i}(a_i - a_j))."""
     weights = []
@@ -147,8 +139,9 @@ def _basis_values(field, table: tuple[tuple, tuple], at) -> list:
     return out
 
 
-def build_generator(params: GeneratorParams, budget: int | None = DEFAULT_TERM_BUDGET) -> PolyMap:
-    """Symbolic form of the level-k map.
+def build_generator(params: GeneratorParams, budget: int | None = DEFAULT_TERM_BUDGET) -> tuple:
+    """Symbolic form of the level-k map: its 2^k output polynomials over the
+    seed variables seed_names(k, r).
 
     Every composition inside the build raises BudgetError once it holds
     more than budget terms.  Finished maps are cached per (k, r, field,
@@ -161,7 +154,7 @@ def build_generator(params: GeneratorParams, budget: int | None = DEFAULT_TERM_B
     key = (k, r, field.config, params.points[: points_needed(k, r)], budget)
     got = _BUILD_CACHE.get(key)
     if got is None:
-        got = PolyMap(seed_names(k, r), _build(k, r, field, params._basis_tables, budget))
+        got = _build(k, r, field, params._basis_tables, budget)
         _BUILD_CACHE[key] = got
     return got
 

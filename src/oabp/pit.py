@@ -247,7 +247,7 @@ def compose_test(a: Abp, r: int, opts: PitOptions | None = None) -> PitVerdict:
         note = f"composed over extension {prog.field.config.to_json()}"
     params = GeneratorParams.create(k, r, prog.field)
     gen = build_generator(params, budget=opts.term_budget)
-    images = {i: gen.outputs[pi.rank(i) - 1] for i in range(1, n + 1)}
+    images = {i: gen[pi.rank(i) - 1] for i in range(1, n + 1)}
     composition = f.compose(images, budget=opts.term_budget)
     if composition.is_zero:
         return PitVerdict("ZERO", "compose", note=note, field=prog.field)
@@ -263,6 +263,8 @@ def random_probe(
 ) -> PitVerdict:
     """Seeded random evaluations; ZERO here is only probabilistic evidence."""
     opts = opts or PitOptions()
+    if opts.trials < 1:
+        raise BudgetError(f"random mode needs at least 1 trial, got {opts.trials}")
     rng = random.Random(opts.seed)
     size = field.size()
     space = DEFAULT_SAMPLE_SPACE if size is None else min(DEFAULT_SAMPLE_SPACE, size)

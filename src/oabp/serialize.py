@@ -24,7 +24,10 @@ Exponent keys are canonical decimal strings from "1" for program variables
 and seed names (like "z1") otherwise.  Elements serialize per field:
 rationals as "p/q" strings in lowest terms (bare integers when q = 1),
 prime-field residues as integers, extension elements as coefficient lists,
-constant term first.
+constant term first.  Every number a file gives is read through
+fields._json_int, so a float or a boolean is refused wherever an integer
+belongs, and rationals through RationalField.element_from_json, which
+refuses floats.
 """
 
 from __future__ import annotations
@@ -33,8 +36,8 @@ import json
 from typing import Any
 
 from .abp import Abp, ConstLabel, Edge, Permutation, VarLabel
-from .errors import FormatError
-from .fields import FieldConfig, make_field
+from .errors import FormatError, StructureError
+from .fields import FieldConfig, _json_int, make_field
 from .poly import SparsePoly, mono_sort_key, var_sort_key
 
 
@@ -45,7 +48,7 @@ def _canonical_bytes(data: Any) -> str:
 def _parse(text: str) -> Any:
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer of over 4300 digits
         raise FormatError(f"not JSON: {exc}") from exc
 
 
@@ -80,10 +83,7 @@ def abp_from_json(data: Any) -> Abp:
         if key not in data:
             raise FormatError(f"program file lacks {key!r}")
     field = make_field(FieldConfig.from_json(data["field"]))
-    num_vars = data["num_vars"]
-    # type() and not isinstance(): a JSON true loads as a bool, an int subclass
-    if type(num_vars) is not int or num_vars < 0:
-        raise FormatError(f"bad num_vars: {num_vars!r}")
+    num_vars = _json_int(data["num_vars"], "num_vars", 0)
     levels = data["levels"]
     if not isinstance(levels, list) or not all(
         isinstance(lvl, list) and all(isinstance(v, str) for v in lvl) for lvl in levels
@@ -102,9 +102,7 @@ def abp_from_json(data: Any) -> Abp:
         if not isinstance(label, dict):
             raise FormatError(f"edge label must be an object: {label!r}")
         if "var" in label:
-            idx = label["var"]
-            if type(idx) is not int or not 1 <= idx <= num_vars:
-                raise FormatError(f"bad variable index {idx!r}")
+            idx = _json_int(label["var"], "variable index", 1, num_vars + 1)
             edges.append(Edge(src, dst, VarLabel(idx)))
         elif "const" in label:
             edges.append(Edge(src, dst, ConstLabel(field.element_from_json(label["const"]))))
@@ -112,11 +110,11 @@ def abp_from_json(data: Any) -> Abp:
             raise FormatError(f"edge label needs var or const: {label!r}")
     order = None
     if data.get("order") is not None:
-        if not isinstance(data["order"], list) or any(type(i) is not int for i in data["order"]):
-            raise FormatError(f"bad order: {data['order']!r} is not a list of integers")
+        if not isinstance(data["order"], list):
+            raise FormatError(f"bad order: {data['order']!r} is not a list")
         try:
-            order = Permutation(data["order"])
-        except Exception as exc:
+            order = Permutation([_json_int(i, "order entry") for i in data["order"]])
+        except StructureError as exc:
             raise FormatError(f"bad order: {exc}") from exc
     return Abp(
         field,
@@ -150,6 +148,8 @@ def _key_to_var(s: str):
         return s
     if s[0] == "0":
         raise FormatError(f"bad variable key {s!r}: want an index >= 1, no leading zeros")
+    if len(s) > 4300:  # past int()'s conversion limit
+        raise FormatError(f"bad variable key of {len(s)} digits")
     return int(s)
 
 
@@ -166,7 +166,7 @@ def poly_from_json(data: Any) -> SparsePoly:
     if not isinstance(data, dict) or "field" not in data or not isinstance(data.get("terms"), list):
         raise FormatError("polynomial file needs a field and a list of terms")
     field = make_field(FieldConfig.from_json(data["field"]))
-    acc: dict = {}
+    pairs = []
     for item in data["terms"]:
         try:
             coeff = field.element_from_json(item["coeff"])
@@ -179,15 +179,9 @@ def poly_from_json(data: Any) -> SparsePoly:
         for key, e in exps.items():
             if not key:
                 raise FormatError("empty variable name in exponents")
-            if type(e) is not int or e < 1:
-                raise FormatError(f"bad exponent {e!r} for {key!r}")
-            mono_items.append((_key_to_var(key), e))
-        mono = tuple(sorted(mono_items, key=lambda it: var_sort_key(it[0])))
-        if mono in acc:
-            acc[mono] = field.add(acc[mono], coeff)
-        else:
-            acc[mono] = coeff
-    return SparsePoly(field, acc)
+            mono_items.append((_key_to_var(key), _json_int(e, f"{key!r} exponent", 1)))
+        pairs.append((tuple(sorted(mono_items, key=lambda it: var_sort_key(it[0]))), coeff))
+    return SparsePoly.from_pairs(field, pairs)
 
 
 def poly_dumps(p: SparsePoly) -> str:

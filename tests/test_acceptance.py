@@ -75,7 +75,7 @@ def test_c01_level_one_closed_form():
     with criterion("C1 level-one closed form", budget=1.0):
         one = Fraction(1)
         for r in (1, 2, 3):
-            pm = build_generator(GeneratorParams.create(1, r, Q))
+            gen = build_generator(GeneratorParams.create(1, r, Q))
             first = SparsePoly(
                 Q,
                 {
@@ -86,7 +86,7 @@ def test_c01_level_one_closed_form():
             )
             second_terms = {((f"z{i}", 1),): one for i in range(1, r + 2)}
             second_terms[(("u1", 1), ("v1", 1))] = one
-            assert pm.outputs == (first, SparsePoly(Q, second_terms))
+            assert gen == (first, SparsePoly(Q, second_terms))
 
 
 def test_c02_compose_verdicts_across_corpus():
@@ -178,8 +178,8 @@ def test_c06_degree_audit():
             for r in (1, 2):
                 if (k, r) == (3, 2):
                     continue
-                pm = build_generator(GeneratorParams.create(k, r, Q))
-                degrees = [c.individual_degrees() for c in pm.outputs]
+                gen = build_generator(GeneratorParams.create(k, r, Q))
+                degrees = [c.individual_degrees() for c in gen]
                 for n in range(2 ** (k - 1) + 1, 2**k + 1):
                     exact = tuple(
                         sum(d.get(s, 0) for d in degrees[:n]) for s in seed_names(k, r)
@@ -188,9 +188,9 @@ def test_c06_degree_audit():
                     audited += 1
         # composing even x1*x2 with the level-1 map doubles the degree of a
         # seed shared by both outputs: u1 reaches 2, exactly its d_s
-        pm = build_generator(GeneratorParams.create(1, 1, Q))
+        gen = build_generator(GeneratorParams.create(1, 1, Q))
         f = SparsePoly(Q, {((1, 1), (2, 1)): Fraction(1)})
-        comp = f.compose({1: pm.outputs[0], 2: pm.outputs[1]})
+        comp = f.compose({1: gen[0], 2: gen[1]})
         u1_deg = max(
             (dict(mono).get("u1", 0) for mono in comp.terms), default=0
         )

@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import time
 from fractions import Fraction
 
 import pytest
@@ -77,22 +78,51 @@ F9_HEAD = {"field": {"kind": "extension", "p": 3, "deg": 2}}
         {**F9_HEAD, "terms": [{"coeff": [3, 0], "exps": {}}]},
         {**POLY_HEAD, "terms": [{"coeff": "1", "exps": {"0": 1}}]},
         {**POLY_HEAD, "terms": [{"coeff": "1", "exps": {"01": 1}}]},
+        '{"field": {"kind": "rational"}, "num_vars": 1, "levels": [["s"], ["t"]],'
+        ' "edges": [{"from": "s", "to": "t", "label": {"const": 1e-400}}]}',
+        {**PROGRAM_HEAD, "edges": [{"from": "s", "to": "t", "label": {"const": 0.1}}]},
+        {**PROGRAM_HEAD, "num_vars": 2.0, "edges": []},
+        {**PROGRAM_HEAD, "edges": [{"from": "s", "to": "t", "label": {"var": 1.0}}]},
+        {**PROGRAM_HEAD, "edges": [], "order": [1.0]},
+        {**POLY_HEAD, "terms": [{"coeff": "1", "exps": {"1": 1.0}}]},
+        {"field": {"kind": "prime", "p": 9223372021822390277}, "terms": []},
+        {"field": {"kind": "prime", "p": 2**64 + 13}, "terms": []},
+        {"field": {"kind": "extension", "p": 3, "deg": 100000}, "terms": []},
+        {"field": {"kind": "extension", "p": 3, "deg": 2, "modulus": [2, 2, 4]}, "terms": []},
+        '{"field": {"kind": "prime", "p": 1' + "0" * 4400 + '}, "terms": []}',
+        '{"field": {"kind": "rational"}, "terms": [{"coeff": "1", "exps": {"' + "9" * 4400 + '": 1}}]}',
     ],
     ids=[
         "edges-int", "label-string", "terms-int", "exps-list", "prime-p-string", "prime-p-inf",
         "endpoint-list", "endpoint-int", "num-vars-bool", "var-bool", "order-bool",
         "exponent-bool", "exponent-key-empty", "prime-p-float", "prime-p-bool",
         "extension-deg-float", "extension-coeff-float", "extension-coeff-range", "exponent-key-zero",
-        "exponent-key-leading-zero",
+        "exponent-key-leading-zero", "const-underflow-float", "const-float", "num-vars-float",
+        "var-float", "order-float", "exponent-float", "prime-p-pseudoprime-free-composite",
+        "prime-p-over-2-64", "extension-deg-huge", "extension-modulus-range",
+        "number-over-4300-digits", "exponent-key-over-4300-digits",
     ],
 )
 def test_malformed_file_is_a_runtime_error(capsys, tmp_path, data):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(data))
+    bad.write_text(data if isinstance(data, str) else json.dumps(data))
+    start = time.perf_counter()
     code, out, err = run(capsys, "stats", bad)
+    assert time.perf_counter() - start < 1.0
     assert code == 2
     assert err.startswith(f"error: {bad}: ")
     assert out == ""
+
+
+def test_a_prime_field_below_2_64_loads_quickly(capsys, tmp_path):
+    good = tmp_path / "m61.abp.json"
+    good.write_text(json.dumps({**PROGRAM_HEAD, "field": {"kind": "prime", "p": 2**61 - 1},
+                                "edges": [{"from": "s", "to": "t", "label": {"var": 1}}]}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "stats", good)
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (0, "")
+    assert out.startswith("program over prime: 1 variables")
 
 
 # -- stats and eval ---------------------------------------------------------------
@@ -513,6 +543,28 @@ def test_config_rejects_unknown_keys(capsys, fixtures_dir, tmp_path):
     assert "unknown key 'nope'" in err
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"term_budget": "abc"},
+        {"term_budget": True},
+        {"term_budget": 1.5},
+        {"grid_budget": 0},
+        {"field": 5},
+        {"seed": "x"},
+    ],
+    ids=["term-budget-string", "term-budget-bool", "term-budget-float", "grid-budget-zero",
+         "field-int", "seed-string"],
+)
+def test_malformed_config_is_a_runtime_error(capsys, fixtures_dir, tmp_path, data):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    code, out, err = run(capsys, "--config", cfg, "stats", fixtures_dir / "x1x2.abp.json")
+    assert code == 2
+    assert err.startswith(f"error: {cfg}: bad {next(iter(data))} ")
+    assert out == ""
+
+
 def test_config_example_fixture_loads(capsys, fixtures_dir):
     code, out, _ = run(
         capsys,
@@ -524,6 +576,25 @@ def test_config_example_fixture_loads(capsys, fixtures_dir):
 
 
 # -- exit codes -------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("pit", "x1x2.abp.json", "--read", "1", "--mode", "random", "--trials", "0"),
+        ("pit", "x1x2.abp.json", "--read", "1", "--mode", "random", "--trials", "-3"),
+        ("pit", "x1x2.abp.json", "--read", "1", "--grid-budget", "0"),
+        ("pit", "x1x2.abp.json", "--read", "1", "--mode", "compose", "--term-budget", "0"),
+        ("expand", "x1x2.abp.json", "--budget", "0"),
+        ("expand", "x1x2.abp.json", "--budget", "1.5"),
+        ("equal", "x1x2.abp.json", "x1x2.abp.json", "--term-budget", "0"),
+    ],
+)
+def test_count_flags_want_an_integer_of_at_least_one(capsys, fixtures_dir, args):
+    args = [fixtures_dir / a if a.endswith(".json") else a for a in args]
+    code, out, err = run(capsys, *args)
+    assert (code, out) == (1, "")
+    assert "want an integer >= 1" in err
 
 
 def test_usage_errors_exit_one(capsys, fixtures_dir):

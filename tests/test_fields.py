@@ -15,6 +15,7 @@ from oabp.fields import (
     extension_field,
     find_irreducible,
     is_irreducible,
+    is_prime,
     make_field,
     min_extension_degree,
     prime_field,
@@ -48,6 +49,21 @@ def test_prime_field_requires_prime_modulus():
         prime_field(6)
     with pytest.raises(FieldError):
         prime_field(1)
+
+
+def test_is_prime_matches_trial_division_and_is_exact_below_2_64():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(3000) if is_prime(n)] == [n for n in range(3000) if trial(n)]
+    # Carmichael numbers, and strong pseudoprimes to the bases 2 (2047),
+    # 2..11 (3215031751) and 2..23 (3825123056546413051)
+    for n in (561, 1105, 2047, 3215031751, 3825123056546413051, 9223372021822390277):
+        assert not is_prime(n), n
+    for n in (2**31 - 1, 2**61 - 1, 2**64 - 59):
+        assert is_prime(n), n
+    with pytest.raises(FieldError, match="not below 2\\^64"):
+        is_prime(2**64 + 13)
 
 
 def test_prime_field_matches_integer_arithmetic():
@@ -118,6 +134,12 @@ def test_is_irreducible_rejects_products():
 def test_find_irreducible_budget():
     with pytest.raises(BudgetError):
         find_irreducible(2, 25)
+    # 3^100000 has over 4300 digits, past what Python converts to text
+    with pytest.raises(BudgetError, match=r"3\^100000 candidates"):
+        find_irreducible(3, 100000)
+    assert find_irreducible(2, 5, budget=32) == (1, 0, 1, 0, 0, 1)
+    with pytest.raises(BudgetError):
+        find_irreducible(2, 5, budget=31)
 
 
 def test_extension_field_f9_table():
@@ -215,6 +237,8 @@ def test_element_text_round_trip():
     F = rationals()
     for text in ("3", "-2", "1/2", "-7/3"):
         assert F.element_to_text(F.element_from_text(text)) == text
+    # command line text may be an exact decimal, which JSON may not
+    assert F.element_from_text("0.5") == Fraction(1, 2)
     Fp = prime_field(7)
     assert Fp.element_from_text("9") == 2
     F8 = extension_field(2, 3)
@@ -225,6 +249,12 @@ def test_element_text_round_trip():
 
 
 def test_element_json_validation():
+    Q = rationals()
+    assert Q.element_from_json("-7/3") == Fraction(-7, 3)
+    assert Q.element_from_json(4) == 4
+    for v in (0.1, 1e-400, 2.0, True, None, [1]):
+        with pytest.raises(FormatError):
+            Q.element_from_json(v)
     Fp = prime_field(5)
     with pytest.raises(FormatError):
         Fp.element_from_json(7)

@@ -48,7 +48,7 @@ def test_points_needed():
 # second output z1 + ... + z_{1+r} + u1*v1
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_level_one_closed_form(r):
-    pm = build_generator(GeneratorParams.create(1, r, Q))
+    gen = build_generator(GeneratorParams.create(1, r, Q))
     one = Fraction(1)
     first = SparsePoly(
         Q,
@@ -61,9 +61,9 @@ def test_level_one_closed_form(r):
     second_terms = {((f"z{i}", 1),): one for i in range(1, r + 2)}
     second_terms[(("u1", 1), ("v1", 1))] = one
     second = SparsePoly(Q, second_terms)
-    assert len(pm.outputs) == 2
-    assert pm.outputs[0] == first
-    assert pm.outputs[1] == second
+    assert len(gen) == 2
+    assert gen[0] == first
+    assert gen[1] == second
 
 
 def test_level_one_hits_every_pair():
@@ -80,7 +80,7 @@ def test_level_one_hits_every_pair():
 def test_eval_matches_symbolic(k, r):
     for field in (Q, prime_field(101)):
         params = GeneratorParams.create(k, r, field)
-        pm = build_generator(params)
+        gen = build_generator(params)
         names = seed_names(k, r)
         rng = random.Random(31 * k + r)
         for _ in range(15):
@@ -89,7 +89,7 @@ def test_eval_matches_symbolic(k, r):
             else:
                 seed = tuple(rng.randrange(101) for _ in names)
             want = tuple(
-                comp.evaluate(dict(zip(names, seed))) for comp in pm.outputs
+                comp.evaluate(dict(zip(names, seed))) for comp in gen
             )
             assert eval_generator(params, seed) == want
 
@@ -102,23 +102,23 @@ def test_eval_on_custom_nodes_matches_symbolic():
         canonical = enumerate_points(field, points_needed(k, r))
         for points in (canonical[::-1], tuple(rng.sample(canonical, len(canonical)))):
             params = GeneratorParams.create(k, r, field, points)
-            pm = build_generator(params)
+            gen = build_generator(params)
             names = seed_names(k, r)
             for _ in range(5):
                 seed = tuple(rng.choice(canonical) for _ in names)
-                want = tuple(comp.evaluate(dict(zip(names, seed))) for comp in pm.outputs)
+                want = tuple(comp.evaluate(dict(zip(names, seed))) for comp in gen)
                 assert eval_generator(params, seed) == want
 
 
 def test_output_count_doubles_per_level():
     for k in (0, 1, 2, 3):
-        pm = build_generator(GeneratorParams.create(k, 1, Q))
-        assert len(pm.outputs) == 2**k
+        gen = build_generator(GeneratorParams.create(k, 1, Q))
+        assert len(gen) == 2**k
 
 
 def test_level_zero_is_the_single_seed():
-    pm = build_generator(GeneratorParams.create(0, 1, Q))
-    assert pm.outputs[0] == SparsePoly(Q, {(("z1", 1),): Fraction(1)})
+    gen = build_generator(GeneratorParams.create(0, 1, Q))
+    assert gen[0] == SparsePoly(Q, {(("z1", 1),): Fraction(1)})
 
 
 def test_self_similarity():
@@ -227,11 +227,11 @@ def test_seed_degree_bounds_cover_exact_degrees():
             if field.size() is not None and field.size() < points_needed(k, r):
                 assert (field, k, r) == (F9, 2, 2)
                 continue
-            pm = build_generator(GeneratorParams.create(k, r, field))
+            gen = build_generator(GeneratorParams.create(k, r, field))
             for n in range(2 ** (k - 1) + 1, 2**k + 1):
                 bound = seed_degree_bounds(k, r, n)
                 exact = tuple(
-                    sum(c.individual_degrees().get(s, 0) for c in pm.outputs[:n])
+                    sum(c.individual_degrees().get(s, 0) for c in gen[:n])
                     for s in names
                 )
                 assert all(e <= d for e, d in zip(exact, bound)), (field, k, r, n)

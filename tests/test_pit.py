@@ -210,7 +210,7 @@ def test_compose_witness_is_the_least_monomial_of_the_composition():
         a, n = m.abp, m.abp.num_vars
         pi = resolve_order(a)
         gen = build_generator(GeneratorParams.create(level_for(n), m.read_bound, a.field))
-        images = {i: gen.outputs[pi.rank(i) - 1] for i in range(1, n + 1)}
+        images = {i: gen[pi.rank(i) - 1] for i in range(1, n + 1)}
         want = expand(obliviate(a, pi)).compose(images).sorted_terms()[0][0]
         assert compose_test(a, m.read_bound).witness == want, m.name
 
@@ -305,6 +305,9 @@ def test_random_probe_zero_is_flagged_probabilistic():
     assert v.verdict == "ZERO"
     assert v.queries == 7
     assert v.note is not None and v.note.startswith("probabilistic")
+    for trials in (0, -3):
+        with pytest.raises(BudgetError, match="at least 1 trial"):
+            random_probe(zero_oracle, 2, Q, opts=PitOptions(trials=trials))
 
 
 def over_prime(a, field):
