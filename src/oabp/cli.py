@@ -50,7 +50,6 @@ from .generator import (
     seed_names,
 )
 from .pit import (
-    DEFAULT_EXTENSION_CAP,
     DEFAULT_GRID_BUDGET,
     DEFAULT_TRIALS,
     PitOptions,
@@ -84,7 +83,6 @@ class CliConfig:
     term_budget: int = DEFAULT_TERM_BUDGET
     grid_budget: int = DEFAULT_GRID_BUDGET
     seed: int = 0
-    extension_cap: int = DEFAULT_EXTENSION_CAP
     output: str = "human"  # "human" | "json"
 
     def check(self) -> None:
@@ -214,11 +212,9 @@ def cmd_validate(args, cfg: CliConfig, emitter: _Emitter) -> int:
     obj = _load_file(args.file)
     if isinstance(obj, Abp):
         problems = validate(obj)
-        ordered = None
-        if obj.order is not None and not problems:
-            ordered = check_order(obj, obj.order)
-            if not ordered:
-                problems = [f"program does not respect its declared order {list(obj.order.image)}"]
+        if obj.order is not None and not problems and not check_order(obj, obj.order):
+            seq = list(obj.order.variable_sequence())
+            problems = [f"program does not respect its declared order {seq}"]
         payload = {
             "file": args.file,
             "kind": "abp",
@@ -399,7 +395,6 @@ def cmd_pit(args, cfg: CliConfig, emitter: _Emitter) -> int:
     opts = PitOptions(
         grid_budget=cfg.grid_budget if args.grid_budget is None else args.grid_budget,
         term_budget=cfg.term_budget if args.term_budget is None else args.term_budget,
-        extension_cap=cfg.extension_cap,
         trials=args.trials,
         seed=args.seed if args.seed is not None else cfg.seed,
     )

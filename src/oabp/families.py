@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Mapping
 
 from .abp import (
@@ -36,7 +37,9 @@ from .linalg import matrix_rank
 from .poly import SparsePoly
 
 DEFAULT_WEIGHT_PRIME = (1 << 31) - 1
-DEFAULT_SUBSET_CAP = 5  # permanent branches: 2^n subsets
+SUBSET_CAP = 5  # ryser_permanent_abp: largest n (2^n subsets)
+INTERVAL_CAP = 15  # full_rank_poly: longest interval
+FULL_RANK_ATTEMPTS = 3  # verify_full_rank: seeds tried
 
 
 @dataclass(frozen=True)
@@ -187,7 +190,7 @@ def permanent_var(n: int, i: int, j: int) -> int:
     return (i - 1) * n + j
 
 
-def ryser_permanent_abp(n: int, field: Field | None = None, cap: int = DEFAULT_SUBSET_CAP) -> Abp:
+def ryser_permanent_abp(n: int, field: Field | None = None) -> Abp:
     """Permanent of a symbolic n x n matrix by inclusion-exclusion.
 
     One branch per column subset S, computing (-1)^|S| times the product
@@ -197,8 +200,8 @@ def ryser_permanent_abp(n: int, field: Field | None = None, cap: int = DEFAULT_S
     """
     if n < 1:
         raise StructureError(f"need n >= 1, got {n}")
-    if n > cap:
-        raise BudgetError(f"permanent program for n={n} has {2**n} branches, cap is n={cap}")
+    if n > SUBSET_CAP:
+        raise BudgetError(f"permanent program for n={n} has {2**n} branches, cap is n={SUBSET_CAP}")
     if field is None:
         field = _default_family_field()
     one = field.one()
@@ -283,9 +286,13 @@ class OrderSeparation:
     exponential read."""
 
     abp: Abp
-    poly: SparsePoly
     good_order: Permutation
     bad_order: Permutation
+
+    @cached_property
+    def poly(self) -> SparsePoly:
+        """The program's expansion, 3^n terms, built on first use only."""
+        return expand(self.abp)
 
 
 def order_separation_family(n: int, field: Field | None = None) -> OrderSeparation:
@@ -325,7 +332,7 @@ def order_separation_family(n: int, field: Field | None = None) -> OrderSeparati
         image[2 * i - 1] = i  # x_{2i} at rank i
         image[2 * i] = n + 1 + i  # x_{2i+1} at rank n+1+i
     bad = Permutation(image)
-    return OrderSeparation(abp, expand(abp), good, bad)
+    return OrderSeparation(abp, good, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +363,6 @@ def full_rank_poly(
     lo: int,
     hi: int,
     weights: Mapping[tuple[int, int, int], Any],
-    cap: int = 15,
 ) -> SparsePoly:
     """Weighted interval polynomial f[lo, hi] over x_lo..x_hi.
 
@@ -365,8 +371,8 @@ def full_rank_poly(
     f[lo, l] f[l+1, hi]; even-length intervals restrict the split point to
     even-length left parts, odd-length intervals allow every split.
     """
-    if hi - lo + 1 > cap:
-        raise BudgetError(f"interval length {hi - lo + 1} exceeds cap {cap}")
+    if hi - lo + 1 > INTERVAL_CAP:
+        raise BudgetError(f"interval length {hi - lo + 1} exceeds cap {INTERVAL_CAP}")
     one = field.one()
     memo: dict[tuple[int, int], SparsePoly] = {}
 
@@ -435,13 +441,7 @@ class FullRankReport:
         return bool(self.attempts) and self.attempts[-1].ok
 
 
-def verify_full_rank(
-    n: int,
-    seed: int = 0,
-    p: int = DEFAULT_WEIGHT_PRIME,
-    max_attempts: int = 3,
-    weights_for_seed=None,
-) -> FullRankReport:
+def verify_full_rank(n: int, seed: int = 0, weights_for_seed=None) -> FullRankReport:
     """Check that every middle-style split of the weighted interval family
     gives a full-rank matrix.
 
@@ -449,20 +449,20 @@ def verify_full_rank(
     choosing which n of the remaining 2n variables sit on the y-side must
     yield rank 2^n.  Only the set-split matters: reordering within a side
     permutes rows or columns.  Deficient attempts (possible for unlucky
-    weights) retry with the next seed up to max_attempts; a final deficient
-    attempt raises.
+    weights) retry with the next seed, FULL_RANK_ATTEMPTS seeds in all; a
+    final deficient attempt raises.
     """
     if n < 1:
         raise StructureError(f"need n >= 1, got {n}")
     m = 2 * n + 1
     if m > 7:
         raise BudgetError(f"exhaustive split sweep supports m <= 7, got {m}")
-    field = prime_field(p)
+    field = prime_field(DEFAULT_WEIGHT_PRIME)
     if weights_for_seed is None:
         weights_for_seed = lambda s: seeded_weights(field, m, s)
     expected = 1 << n
-    report = FullRankReport(n, p, [])
-    for attempt in range(max_attempts):
+    report = FullRankReport(n, DEFAULT_WEIGHT_PRIME, [])
+    for attempt in range(FULL_RANK_ATTEMPTS):
         use_seed = seed + attempt
         f = full_rank_poly(field, 1, m, weights_for_seed(use_seed))
         checks: list[SplitCheck] = []
@@ -479,7 +479,7 @@ def verify_full_rank(
             return report
     bad = report.attempts[-1].deficient()
     raise StructureError(
-        f"full-rank check failed after {max_attempts} attempts; "
+        f"full-rank check failed after {FULL_RANK_ATTEMPTS} attempts; "
         f"{len(bad)} deficient splits in the last one (first: "
         f"d={bad[0].derivative_var}, y={bad[0].y_vars}, rank {bad[0].rank} < {bad[0].expected})"
     )

@@ -14,6 +14,7 @@ when their configurations do, which makes field objects usable as cache keys.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
@@ -22,6 +23,11 @@ from .errors import BudgetError, FieldError, FormatError
 
 # Exhaustive searches over F_p[x] stay below this many candidates.
 DEFAULT_SEARCH_BUDGET = 1 << 20
+
+# A file spells a rational as element_to_json does; typed text may add a
+# decimal point.  Neither takes an exponent, for which Fraction builds 10^e.
+_RATIONAL_JSON = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_RATIONAL_TEXT = re.compile(r"[-+]?([0-9]+(/[0-9]+)?|[0-9]*\.[0-9]+|[0-9]+\.)")
 
 
 # Miller-Rabin with these bases decides primality exactly below
@@ -270,11 +276,10 @@ class Field:
         return self.mul(a, self.inv(b))
 
     def pow(self, a, e: int):
-        if e < 0:
-            return self.pow(self.inv(a), -e)
+        """a^e for e >= 0."""
         acc = self.one()
         base = a
-        while e:
+        while e > 0:
             if e & 1:
                 acc = self.mul(acc, base)
             base = self.mul(base, base)
@@ -362,11 +367,15 @@ class RationalField(Field):
             return Fraction(v)
         if not isinstance(v, str):
             raise FormatError(f"bad rational {v!r}: want a string or an integer")
+        if not _RATIONAL_JSON.fullmatch(v):
+            raise FormatError(f"bad rational {v!r}: want an integer or p/q")
         return self.element_from_text(v)
 
     element_to_text = element_to_json
 
     def element_from_text(self, s: str):
+        if not _RATIONAL_TEXT.fullmatch(s):
+            raise FormatError(f"bad rational {s!r}: want an integer, p/q or a decimal")
         try:
             return Fraction(s)
         except (ValueError, ZeroDivisionError) as exc:

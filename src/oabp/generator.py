@@ -28,11 +28,9 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Sequence
 
-from .errors import FieldError, StructureError
+from .errors import StructureError
 from .fields import Field, enumerate_points
 from .poly import DEFAULT_TERM_BUDGET, SparsePoly
-
-_BUILD_CACHE: dict = {}
 
 
 def z_count(k: int, r: int) -> int:
@@ -60,10 +58,8 @@ def points_needed(k: int, r: int) -> int:
 
 @dataclass(frozen=True)
 class GeneratorParams:
-    """Level k, read bound r, field, and the interpolation point prefix.
-
-    points must hold at least max(l(k)+2k, 2^k) distinct field elements;
-    passing None picks the canonical enumeration of that length.
+    """Level k, read bound r, field, and the interpolation nodes: the first
+    points_needed(k, r) points of the field's canonical enumeration.
     """
 
     k: int
@@ -72,19 +68,8 @@ class GeneratorParams:
     points: tuple
 
     @staticmethod
-    def create(k: int, r: int, field: Field, points: Sequence | None = None) -> "GeneratorParams":
-        need = points_needed(k, r)
-        if points is None:
-            points = enumerate_points(field, need)
-        points = tuple(points)
-        if len(points) < need:
-            raise FieldError(
-                f"level {k} with read bound {r} needs {need} distinct points, "
-                f"got {len(points)}"
-            )
-        if len(set(points)) != len(points):
-            raise FieldError("interpolation points must be distinct")
-        return GeneratorParams(k, r, field, points)
+    def create(k: int, r: int, field: Field) -> "GeneratorParams":
+        return GeneratorParams(k, r, field, enumerate_points(field, points_needed(k, r)))
 
     @cached_property
     def _basis_tables(self) -> tuple:
@@ -139,24 +124,18 @@ def _basis_values(field, table: tuple[tuple, tuple], at) -> list:
     return out
 
 
+@cache
 def build_generator(params: GeneratorParams, budget: int | None = DEFAULT_TERM_BUDGET) -> tuple:
     """Symbolic form of the level-k map: its 2^k output polynomials over the
     seed variables seed_names(k, r).
 
     Every composition inside the build raises BudgetError once it holds
-    more than budget terms.  Finished maps are cached per (k, r, field,
-    points, budget), so a map built under one budget is never handed to a
+    more than budget terms.  functools.cache keeps finished maps per call
+    (params, budget), so a map built under one budget is never handed to a
     caller with a smaller one; a build that raised leaves nothing behind.
-    Feasible for small k only; evaluation via eval_generator stays cheap at
-    every level.
+    Feasible for small k only; eval_generator stays cheap at every level.
     """
-    k, r, field = params.k, params.r, params.field
-    key = (k, r, field.config, params.points[: points_needed(k, r)], budget)
-    got = _BUILD_CACHE.get(key)
-    if got is None:
-        got = _build(k, r, field, params._basis_tables, budget)
-        _BUILD_CACHE[key] = got
-    return got
+    return _build(params.k, params.r, params.field, params._basis_tables, budget)
 
 
 def _build(k: int, r: int, field: Field, tables: tuple, budget: int | None) -> tuple:

@@ -78,7 +78,6 @@ from .poly import DEFAULT_TERM_BUDGET, mono_sort_key
 from .transforms import obliviate  # noqa: F401 - a lookup site the benchmark tracer wraps
 
 DEFAULT_GRID_BUDGET = 10**7
-DEFAULT_EXTENSION_CAP = 32
 DEFAULT_TRIALS = 20
 DEFAULT_SAMPLE_SPACE = 100
 
@@ -87,7 +86,6 @@ DEFAULT_SAMPLE_SPACE = 100
 class PitOptions:
     grid_budget: int = DEFAULT_GRID_BUDGET
     term_budget: int = DEFAULT_TERM_BUDGET
-    extension_cap: int = DEFAULT_EXTENSION_CAP
     trials: int = DEFAULT_TRIALS
     seed: int = 0
 
@@ -110,19 +108,14 @@ def level_for(n: int) -> int:
     return (n - 1).bit_length()
 
 
-def ensure_field(field: Field, needed: int, opts: PitOptions) -> Field:
+def ensure_field(field: Field, needed: int) -> Field:
     """Return field itself or the smallest prime-power extension with >= needed
-    elements; FieldError when that degree exceeds opts.extension_cap."""
+    elements; the irreducible search's candidate budget bounds the degree."""
     size = field.size()
     if size is None or size >= needed:
         return field
     if isinstance(field, PrimeField):
-        d = min_extension_degree(field.p, needed)
-        if d > opts.extension_cap:
-            raise FieldError(
-                f"extension degree {d} over F_{field.p} exceeds cap {opts.extension_cap}"
-            )
-        return extension_field(field.p, d)
+        return extension_field(field.p, min_extension_degree(field.p, needed))
     raise FieldError(
         f"cannot extend field of kind {field.config.kind!r}; "
         f"supply a field with at least {needed} elements"
@@ -142,6 +135,15 @@ def seed_grid_size(n: int, r: int, opts: PitOptions) -> tuple[int, int, int]:
     The middle entry is what the working field must hold besides the
     generator's own interpolation nodes.
     """
+    k = level_for(n)
+    floor = 1
+    for _ in range(k):  # selector seeds u_1..u_k have bound n: (n+1)^k points or more
+        floor *= n + 1
+        if floor > opts.grid_budget:
+            raise BudgetError(
+                f"hitset grid needs at least {n + 1}^{k} points, "
+                f"budget is {opts.grid_budget}; compose mode avoids the grid"
+            )
     sides = _grid_sides(n, r)
     total = math.prod(sides)
     if total > opts.grid_budget:
@@ -149,7 +151,7 @@ def seed_grid_size(n: int, r: int, opts: PitOptions) -> tuple[int, int, int]:
             f"hitset grid needs {'*'.join(map(str, sides))} = {total} points, "
             f"budget is {opts.grid_budget}; compose mode avoids the grid"
         )
-    return level_for(n), max(sides), total
+    return k, max(sides), total
 
 
 def _working_program(
@@ -173,7 +175,7 @@ def _working_program(
     if grid:
         _k, per_coord, _total = seed_grid_size(a.num_vars, r, opts)
         needed = max(needed, per_coord)
-    work_field = ensure_field(a.field, needed, opts)
+    work_field = ensure_field(a.field, needed)
     if work_field is not a.field:
         a = lift_constants(a, work_field)
     return a, pi
@@ -224,7 +226,7 @@ def hitset_test(
     if pi.n != n:
         raise StructureError(f"order over {pi.n} variables, oracle has {n}")
     k, per_coord, _total = seed_grid_size(n, r, opts)
-    work_field = ensure_field(field, max(points_needed(k, r), per_coord), opts)
+    work_field = ensure_field(field, max(points_needed(k, r), per_coord))
     return _query_grid(oracle, pi, r, work_field, work_field is not field)
 
 

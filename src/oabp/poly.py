@@ -156,14 +156,6 @@ class SparsePoly:
                 out.add(v)
         return out
 
-    def degree_in(self, v: VarKey) -> int:
-        best = 0
-        for mono in self.terms:
-            for w, e in mono:
-                if w == v and e > best:
-                    best = e
-        return best
-
     def individual_degrees(self) -> dict:
         out: dict = {}
         for mono in self.terms:
@@ -177,9 +169,6 @@ class SparsePoly:
 
     def is_multilinear(self) -> bool:
         return all(e == 1 for mono in self.terms for _, e in mono)
-
-    def constant_term(self):
-        return self.terms.get((), self.field.zero())
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -267,7 +256,7 @@ class SparsePoly:
 
     __hash__ = None  # type: ignore[assignment]
 
-    # -- evaluation and substitution ------------------------------------------
+    # -- evaluation and calculus ----------------------------------------------
 
     def evaluate(self, assignment: Mapping[VarKey, Any]):
         """Value at a full assignment; every mentioned variable needs a value."""
@@ -281,25 +270,6 @@ class SparsePoly:
                 val = f.mul(val, f.pow(assignment[v], e))
             total = f.add(total, val)
         return total
-
-    def substitute(self, assignment: Mapping[VarKey, Any]) -> "SparsePoly":
-        """Plug field constants into some variables, keep the rest symbolic."""
-        f = self.field
-        acc: dict = {}
-        for mono, coeff in self.terms.items():
-            val = coeff
-            rest = []
-            for v, e in mono:
-                if v in assignment:
-                    val = f.mul(val, f.pow(assignment[v], e))
-                else:
-                    rest.append((v, e))
-            m = tuple(rest)
-            if m in acc:
-                acc[m] = f.add(acc[m], val)
-            else:
-                acc[m] = val
-        return SparsePoly(f, acc)
 
     def derivative(self, v: VarKey) -> "SparsePoly":
         f = self.field

@@ -1,13 +1,16 @@
 """End-to-end command line coverage, run in process through main()."""
 
+import dataclasses
 import json
 import pathlib
+import re
 import time
 from fractions import Fraction
 
 import pytest
 
-from oabp.cli import main
+import oabp.families
+from oabp.cli import CliConfig, main
 from oabp.fields import rationals
 from oabp.poly import SparsePoly
 from oabp.serialize import poly_dumps
@@ -81,6 +84,8 @@ F9_HEAD = {"field": {"kind": "extension", "p": 3, "deg": 2}}
         '{"field": {"kind": "rational"}, "num_vars": 1, "levels": [["s"], ["t"]],'
         ' "edges": [{"from": "s", "to": "t", "label": {"const": 1e-400}}]}',
         {**PROGRAM_HEAD, "edges": [{"from": "s", "to": "t", "label": {"const": 0.1}}]},
+        {**PROGRAM_HEAD, "edges": [{"from": "s", "to": "t", "label": {"const": "1e10000000"}}]},
+        {**PROGRAM_HEAD, "edges": [{"from": "s", "to": "t", "label": {"const": "0.5"}}]},
         {**PROGRAM_HEAD, "num_vars": 2.0, "edges": []},
         {**PROGRAM_HEAD, "edges": [{"from": "s", "to": "t", "label": {"var": 1.0}}]},
         {**PROGRAM_HEAD, "edges": [], "order": [1.0]},
@@ -97,7 +102,8 @@ F9_HEAD = {"field": {"kind": "extension", "p": 3, "deg": 2}}
         "endpoint-list", "endpoint-int", "num-vars-bool", "var-bool", "order-bool",
         "exponent-bool", "exponent-key-empty", "prime-p-float", "prime-p-bool",
         "extension-deg-float", "extension-coeff-float", "extension-coeff-range", "exponent-key-zero",
-        "exponent-key-leading-zero", "const-underflow-float", "const-float", "num-vars-float",
+        "exponent-key-leading-zero", "const-underflow-float", "const-float",
+        "const-exponent-string", "const-decimal-string", "num-vars-float",
         "var-float", "order-float", "exponent-float", "prime-p-pseudoprime-free-composite",
         "prime-p-over-2-64", "extension-deg-huge", "extension-modulus-range",
         "number-over-4300-digits", "exponent-key-over-4300-digits",
@@ -197,6 +203,17 @@ def test_stats_reads_one_monomial_in_any_variable_order(capsys, tmp_path):
     assert (code, out) == (0, "polynomial over rational: 0 terms, total degree 0, multilinear True\n")
 
 
+def test_eval_point_takes_exact_decimals_but_no_exponent(capsys, fixtures_dir):
+    x1x2 = fixtures_dir / "x1x2.abp.json"
+    code, out, _ = run(capsys, "eval", x1x2, "--point", "0.5,3")
+    assert (code, out) == (0, "3/2\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "eval", x1x2, "--point", "1e10000000,1")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad rational '1e10000000'")
+
+
 def test_eval_wrong_arity(capsys, fixtures_dir):
     code, _, err = run(capsys, "eval", fixtures_dir / "x1x2.abp.json", "--point", "1")
     assert code == 2
@@ -263,6 +280,28 @@ def test_pit_zero_program(capsys, fixtures_dir):
     # the program reads its variables twice, so a read-once promise is refused
     code, _, _ = run(capsys, "pit", fixtures_dir / "zero_2.abp.json", "--read", "1")
     assert code == 2
+
+
+def test_validate_and_pit_spell_a_refused_order_alike(capsys, tmp_path):
+    # the path reads x1, x2, x3; the declared image list [2, 3, 1] ranks x3
+    # first, so its variable sequence is [3, 1, 2]
+    chain = tmp_path / "chain.abp.json"
+    chain.write_text(json.dumps({
+        "field": {"kind": "rational"},
+        "num_vars": 3,
+        "order": [2, 3, 1],
+        "levels": [["s"], ["a"], ["b"], ["t"]],
+        "edges": [
+            {"from": "s", "to": "a", "label": {"var": 1}},
+            {"from": "a", "to": "b", "label": {"var": 2}},
+            {"from": "b", "to": "t", "label": {"var": 3}},
+        ],
+    }))
+    code, out, _ = run(capsys, "validate", chain)
+    assert (code, out) == (0, "problem: program does not respect its declared order [3, 1, 2]\n")
+    code, _, err = run(capsys, "pit", chain, "--read", "1")
+    assert (code, err) == (2, "error: program does not respect the order [3, 1, 2]\n")
+    assert re.findall(r"\[.*\]", out) == re.findall(r"\[.*\]", err)
 
 
 def test_pit_wrong_order_refused_in_both_exact_modes(capsys, fixtures_dir):
@@ -433,6 +472,18 @@ def test_family_ordersep_summary_names_both_orders(capsys, tmp_path):
     assert target.exists()
 
 
+def test_family_ordersep_program_is_written_without_expanding(capsys, tmp_path, monkeypatch):
+    # the polynomial has 3^13 terms; writing the program must not build it
+    def no_expand(*args, **kwargs):
+        raise AssertionError("expand called")
+
+    monkeypatch.setattr(oabp.families, "expand", no_expand)
+    target = tmp_path / "os13.abp.json"
+    code, out, err = run(capsys, "family", "ordersep", "--n", "13", "-o", target)
+    assert (code, err) == (0, "")
+    assert target.exists()
+
+
 def test_family_symm_requires_k(capsys):
     code, _, err = run(capsys, "family", "symm", "--n", "3")
     assert code == 2
@@ -563,6 +614,16 @@ def test_malformed_config_is_a_runtime_error(capsys, fixtures_dir, tmp_path, dat
     assert code == 2
     assert err.startswith(f"error: {cfg}: bad {next(iter(data))} ")
     assert out == ""
+
+
+def test_config_examples_list_exactly_the_config_keys(fixtures_dir):
+    keys = {f.name for f in dataclasses.fields(CliConfig)}
+    example = json.loads((fixtures_dir / "config_example.json").read_text())
+    assert set(example) == keys
+    readme = (fixtures_dir.parent / "README.md").read_text()
+    section = readme.split("## Configuration", 1)[1]
+    block = section.split("```json", 1)[1].split("```", 1)[0]
+    assert set(json.loads(block)) == keys
 
 
 def test_config_example_fixture_loads(capsys, fixtures_dir):

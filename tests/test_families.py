@@ -171,10 +171,8 @@ def test_ryser_stats_frozen():
 
 
 def test_ryser_subset_cap():
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError, match="n=6 has 64 branches, cap is n=5"):
         ryser_permanent_abp(6)
-    with pytest.raises(BudgetError):
-        ryser_permanent_abp(3, cap=2)
 
 
 # -- order separation ----------------------------------------------------------

@@ -94,20 +94,18 @@ def test_eval_matches_symbolic(k, r):
             assert eval_generator(params, seed) == want
 
 
-def test_eval_on_custom_nodes_matches_symbolic():
-    # barycentric tables are computed from each params object's own points;
-    # reversed and shuffled node sets must each be used as given
+def test_eval_matches_symbolic_over_an_extension():
+    # F_9 holds exactly the 9 nodes the level-2, read-1 map needs
     rng = random.Random(5)
-    for field, k, r in ((Q, 2, 2), (extension_field(3, 2), 2, 1)):
-        canonical = enumerate_points(field, points_needed(k, r))
-        for points in (canonical[::-1], tuple(rng.sample(canonical, len(canonical)))):
-            params = GeneratorParams.create(k, r, field, points)
-            gen = build_generator(params)
-            names = seed_names(k, r)
-            for _ in range(5):
-                seed = tuple(rng.choice(canonical) for _ in names)
-                want = tuple(comp.evaluate(dict(zip(names, seed))) for comp in gen)
-                assert eval_generator(params, seed) == want
+    field = extension_field(3, 2)
+    params = GeneratorParams.create(2, 1, field)
+    assert params.points == enumerate_points(field, points_needed(2, 1))
+    gen = build_generator(params)
+    names = seed_names(2, 1)
+    for _ in range(10):
+        seed = tuple(rng.choice(params.points) for _ in names)
+        want = tuple(comp.evaluate(dict(zip(names, seed))) for comp in gen)
+        assert eval_generator(params, seed) == want
 
 
 def test_output_count_doubles_per_level():
@@ -250,16 +248,26 @@ def test_seed_degree_bounds_cover_exact_degrees():
         seed_degree_bounds(2, 1, 5)
 
 
+def test_selector_seed_bounds_are_the_variable_count():
+    # every slot carries each u_j once, so the hitset grid holds at least
+    # (n+1)^k points; seed_grid_size refuses on that floor first
+    for k in range(1, 8):
+        for r in (1, 2, 3):
+            us = [i for i, name in enumerate(seed_names(k, r)) if name.startswith("u")]
+            assert len(us) == k
+            for n in range(1, 2**k + 1):
+                bounds = seed_degree_bounds(k, r, n)
+                assert [bounds[i] for i in us] == [n] * k, (k, r, n)
+
+
 def test_params_validation():
     with pytest.raises(StructureError):
         GeneratorParams.create(-1, 1, Q)
     with pytest.raises(StructureError):
         GeneratorParams.create(1, 0, Q)
-    pts = enumerate_points(Q, seed_count(1, 1))
-    with pytest.raises(FieldError):
-        GeneratorParams.create(1, 1, Q, (pts[0],) * len(pts))
-    with pytest.raises(FieldError):
-        GeneratorParams.create(1, 1, Q, pts[:3])
+    # the level-2, read-1 map needs 9 distinct nodes; F_7 has 7
+    with pytest.raises(FieldError, match="requested 9 distinct points"):
+        GeneratorParams.create(2, 1, prime_field(7))
 
 
 def test_build_cache_returns_same_object():

@@ -8,6 +8,7 @@ from math import prod
 import pytest
 
 import oabp.abp
+import oabp.generator
 import oabp.pit
 import oabp.transforms
 from oabp.abp import (
@@ -85,6 +86,16 @@ def test_seed_grid_size_default_and_component_bound():
     assert seed_grid_size(2, 1, PitOptions()) == (1, 3, 54)
     with pytest.raises(BudgetError, match="compose mode avoids the grid"):
         seed_grid_size(2, 1, PitOptions(grid_budget=53))
+
+
+def test_seed_grid_size_refuses_a_huge_variable_count_before_per_slot_bounds(monkeypatch):
+    def no_slots(*args):
+        raise AssertionError("_slot_degrees called")
+
+    monkeypatch.setattr(oabp.generator, "_slot_degrees", no_slots)
+    with pytest.raises(BudgetError, match="compose mode avoids the grid") as info:
+        seed_grid_size(2**20, 1, PitOptions())
+    assert "at least 1048577^20 points" in str(info.value)
 
 
 def test_seed_grid_size_per_seed():
@@ -182,13 +193,18 @@ def test_order_resolution_groups_the_program_once(monkeypatch):
         assert len(calls) == 1, a.order
 
 
-def test_hitset_grid_budget_error_mentions_compose():
+def test_hitset_grid_budget_error_mentions_compose(monkeypatch):
     with pytest.raises(BudgetError) as info:
         hitset_test(abp_oracle(x1x2()), 2, 1, Q, opts=PitOptions(grid_budget=50))
     assert "compose" in str(info.value)
+
     # the grid is sized before a working field is chosen, so F2 is never extended
-    with pytest.raises(BudgetError):
-        hitset_test_abp(x1x2(prime_field(2)), 1, PitOptions(grid_budget=50, extension_cap=1))
+    def no_field(*args):
+        raise AssertionError("ensure_field called")
+
+    monkeypatch.setattr(oabp.pit, "ensure_field", no_field)
+    with pytest.raises(BudgetError, match="compose mode avoids the grid"):
+        hitset_test_abp(x1x2(prime_field(2)), 1, PitOptions(grid_budget=50))
 
 
 def test_hitset_rejects_order_arity_mismatch():
@@ -250,7 +266,7 @@ def test_small_field_auto_extension():
     v = hitset_test_abp(x1x2(f2), 1)
     assert v.verdict == "NONZERO"
     assert v.note is not None and v.note.startswith("evaluated over extension")
-    work = ensure_field(f2, 5, PitOptions())
+    work = ensure_field(f2, 5)
     assert (work.p, work.deg, work.config.modulus) == (2, 3, (1, 1, 0, 1))
     # the reported witness evaluates nonzero over that extension
     oracle = abp_oracle(lift_constants(x1x2(f2), work))
@@ -260,7 +276,7 @@ def test_small_field_auto_extension():
     v3 = compose_test(x1x2(f3), 1)
     assert v3.verdict == "NONZERO"
     assert v3.note is not None and v3.note.startswith("composed over extension")
-    work3 = ensure_field(f3, 5, PitOptions())
+    work3 = ensure_field(f3, 5)
     assert (work3.p, work3.deg, work3.config.modulus) == (3, 2, (1, 0, 1))
 
 
@@ -277,15 +293,16 @@ def test_char_two_cancellation_is_zero():
 
 
 def test_ensure_field_paths():
-    opts = PitOptions()
-    assert ensure_field(Q, 10**9, opts) is Q
+    assert ensure_field(Q, 10**9) is Q
     f11 = prime_field(11)
-    assert ensure_field(f11, 9, opts) is f11
-    with pytest.raises(FieldError):
-        ensure_field(prime_field(2), 5, PitOptions(extension_cap=2))
+    assert ensure_field(f11, 9) is f11
+    # F_2 reaches 2^20 points; more needs degree 21, past the irreducible search
+    assert ensure_field(prime_field(2), 2**20).deg == 20
+    with pytest.raises(BudgetError, match=r"search over 2\^21 candidates"):
+        ensure_field(prime_field(2), 2**20 + 1)
     # extensions are not re-extended
     with pytest.raises(FieldError):
-        ensure_field(extension_field(2, 2), 17, opts)
+        ensure_field(extension_field(2, 2), 17)
 
 
 def test_random_probe_deterministic():
