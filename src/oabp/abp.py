@@ -6,9 +6,11 @@ a variable x_i (1-based index) or a field constant.  The program computes the
 sum over all source-to-sink paths of the product of edge labels.
 
 Parallel edges are allowed; node ids are opaque strings, unique across the
-whole program.  Variable orders are permutations pi of [n] stored as image
-lists: pi(i) is the rank of x_i, and the induced variable sequence is
-x_{pi^-1(1)}, ..., x_{pi^-1(n)}.
+whole program.  Variable orders are permutations pi of [n] stored both as
+the image, pi(i) the rank of x_i, and as the induced variable sequence
+x_{pi^-1(1)}, ..., x_{pi^-1(n)}.  An order constrains only the variables
+some edge reads, so order inference costs what the edges read plus a heap
+pop per variable.
 
 Layer l holds the edges leaving level l, the index check_oblivious reports.
 Every level-by-level walk, here and in transforms, groups edges into layers
@@ -29,6 +31,7 @@ no entry for a node that nothing reaches.
 from __future__ import annotations
 
 import heapq
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
@@ -55,16 +58,22 @@ class Edge:
 
 
 class Permutation:
-    """Bijection [n] -> [n] stored as the image list (1-based)."""
+    """Bijection [n] -> [n] (1-based), stored as the image list and as its
+    inverse, the variable sequence, both built once in O(n)."""
 
-    __slots__ = ("image",)
+    __slots__ = ("image", "_sequence")
 
     def __init__(self, image: Sequence[int]):
         image = tuple(image)
         n = len(image)
-        if sorted(image) != list(range(1, n + 1)):
-            raise StructureError(f"not a permutation of 1..{n}: {image}")
+        ranks = range(1, n + 1)
+        sequence = [0] * n
+        for i, j in enumerate(image, start=1):
+            if j not in ranks or sequence[j - 1]:
+                raise StructureError(f"not a permutation of 1..{n}: {image}")
+            sequence[j - 1] = i
         self.image = image
+        self._sequence = tuple(sequence)
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
@@ -88,15 +97,8 @@ class Permutation:
         """pi(i): position of x_i in the variable sequence."""
         return self.image[i - 1]
 
-    def at_rank(self, j: int) -> int:
-        """pi^-1(j): the variable whose rank is j."""
-        return self.image.index(j) + 1
-
     def variable_sequence(self) -> tuple[int, ...]:
-        inv = [0] * self.n
-        for i, j in enumerate(self.image, start=1):
-            inv[j - 1] = i
-        return tuple(inv)
+        return self._sequence
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.image == other.image
@@ -270,14 +272,14 @@ def _sweep(
     return vals
 
 
-def _poly_transfer(f: Field, budget: int | None) -> Callable:
+def _poly_transfer(f: Field) -> Callable:
     """Sweep transfer on polynomials: multiply by the edge label."""
 
     def transfer(p: SparsePoly, label):
         if p.is_zero:
             return None
         if isinstance(label, VarLabel):
-            return p.mul(SparsePoly.variable(f, label.index), budget=budget)
+            return p.mul(SparsePoly.variable(f, label.index))
         return p.scale(label.value)
 
     return transfer
@@ -317,9 +319,20 @@ def _respects(a: Abp, layers: list[list[Edge]], pi: Permutation) -> bool:
 def infer_order(a: Abp) -> Permutation | None:
     """Find some order the program respects, or None.
 
-    Collects precedence constraints i < j whenever x_i can appear before x_j
-    on a path, then topologically sorts them, smallest variable index first.
-    A variable repeated on one path makes the program unorderable.
+    Constrains x_i before x_j whenever some path reads x_j right after x_i,
+    then sorts the constraints topologically, smallest variable index first.
+    Each node keeps only the variables last read on the paths into it, so
+    the cost is one step per edge and variable last read at its source, plus
+    one heap pop per variable; a variable no edge reads costs only its pop.
+
+    Why adjacent reads suffice: every adjacent pair is a pair "x_i before
+    x_j on some path", and the reads between x_i and x_j on such a path
+    chain them through adjacent pairs, so both relations have the same
+    transitive closure, hence the same topological orders, and the min-heap
+    returns the lexicographically least of them either way.  A variable
+    read twice on one path closes a cycle (a self-loop when the two reads
+    are adjacent), which leaves it unsorted, so the repeat needs no check
+    of its own.
     """
     layers = _layers(a)
     pi = _inferred(a, layers)
@@ -332,45 +345,34 @@ def infer_order(a: Abp) -> Permutation | None:
 def _inferred(a: Abp, layers: list[list[Edge]]) -> Permutation | None:
     """infer_order on a grouping _layers already made, without its final
     check of the order it found."""
-    before: dict[str, frozenset[int]] = {
-        node: frozenset() for lvl in a.levels for node in lvl
-    }
-    constraints: set[tuple[int, int]] = set()
+    last: dict[str, set[int]] = defaultdict(set)
+    succs: dict[int, set[int]] = defaultdict(set)
+    indeg: dict[int, int] = defaultdict(int)
     for layer in layers:
         for e in layer:
-            carried = before[e.src]
             if isinstance(e.label, VarLabel):
                 j = e.label.index
-                for i in carried:
-                    if i == j:
-                        return None  # repeated variable on a path
-                    constraints.add((i, j))
-                carried = carried | {j}
-            before[e.dst] = before[e.dst] | carried
-    # Kahn's algorithm with a min-heap for a deterministic result
-    n = a.num_vars
-    succs: dict[int, set[int]] = {i: set() for i in range(1, n + 1)}
-    indeg: dict[int, int] = {i: 0 for i in range(1, n + 1)}
-    for i, j in constraints:
-        if j not in succs[i]:
-            succs[i].add(j)
-            indeg[j] += 1
-    ready = [i for i in range(1, n + 1) if indeg[i] == 0]
-    heapq.heapify(ready)
+                for i in last[e.src]:
+                    if j not in succs[i]:
+                        succs[i].add(j)
+                        indeg[j] += 1
+                last[e.dst].add(j)
+            else:
+                last[e.dst] |= last[e.src]
+    # Kahn's algorithm with a min-heap for a deterministic result; the
+    # ascending list of unconstrained variables is already a heap
+    ready = [i for i in range(1, a.num_vars + 1) if i not in indeg]
     sequence: list[int] = []
     while ready:
         i = heapq.heappop(ready)
         sequence.append(i)
-        for j in sorted(succs[i]):
+        for j in succs.get(i, ()):
             indeg[j] -= 1
             if indeg[j] == 0:
                 heapq.heappush(ready, j)
-    if len(sequence) != n:
+    if len(sequence) != a.num_vars:
         return None  # precedence cycle
-    image = [0] * n
-    for rank, i in enumerate(sequence, start=1):
-        image[i - 1] = rank
-    return Permutation(image)
+    return Permutation.from_sequence(sequence)
 
 
 def resolve_order(a: Abp, pi: Permutation | None = None) -> Permutation:
@@ -466,7 +468,7 @@ def expand(a: Abp, budget: int | None = DEFAULT_TERM_BUDGET) -> SparsePoly:
 
     polys = _sweep(
         _layers(a), a.source, SparsePoly.const(f, f.one()), 0, a.depth,
-        _poly_transfer(f, budget), SparsePoly.add, None if budget is None else check_budget,
+        _poly_transfer(f), SparsePoly.add, None if budget is None else check_budget,
     )
     return polys.get(a.sink, SparsePoly.zero(f))
 

@@ -72,9 +72,8 @@ def middle_partition(pi: Permutation) -> VarSplit:
     if m % 2 == 0:
         raise StructureError(f"middle split needs an odd variable count, got {m}")
     n = (m - 1) // 2
-    ys = tuple(pi.at_rank(i) for i in range(1, n + 1))
-    zs = tuple(pi.at_rank(n + 1 + i) for i in range(1, n + 1))
-    return VarSplit(ys, zs, excluded=pi.at_rank(n + 1))
+    seq = pi.variable_sequence()
+    return VarSplit(seq[:n], seq[n + 1:], excluded=seq[n])
 
 
 def deriv_matrix(p: SparsePoly, split: VarSplit) -> list[dict[int, Any]]:
@@ -326,12 +325,7 @@ def order_separation_family(n: int, field: Field | None = None) -> OrderSeparati
     good = Permutation.identity(m)
     abp = Abp(field, m, tuple(tuple(l) for l in levels), tuple(edges), good)
     # evens first, then the head variable, then the odds
-    image = [0] * m
-    image[0] = n + 1
-    for i in range(1, n + 1):
-        image[2 * i - 1] = i  # x_{2i} at rank i
-        image[2 * i] = n + 1 + i  # x_{2i+1} at rank n+1+i
-    bad = Permutation(image)
+    bad = Permutation.from_sequence([*range(2, m, 2), *range(1, m + 1, 2)])
     return OrderSeparation(abp, good, bad)
 
 

@@ -193,12 +193,11 @@ def _query_grid(
     note = f"evaluated over extension {field.config.to_json()}" if lifted else None
     params = GeneratorParams.create(level_for(pi.n), r, field)
     sides = _grid_sides(pi.n, r)
-    ranks = [pi.rank(i) for i in range(1, pi.n + 1)]
     zero = field.zero()
     grid = itertools.product(*(enumerate_points(field, side) for side in sides))
     for queries, seed_point in enumerate(grid, start=1):
         image = eval_generator(params, seed_point)
-        point = tuple(image[rank - 1] for rank in ranks)
+        point = tuple(image[rank - 1] for rank in pi.image)
         if oracle(point) != zero:
             return PitVerdict("NONZERO", "hitset", queries, point, note, field, sides)
     return PitVerdict("ZERO", "hitset", math.prod(sides), None, note, field, sides)

@@ -2,7 +2,7 @@
 
 * obliviate: reshape an ordered program so that each layer reads one fixed
   variable, in rank order, without changing the polynomial or any
-  per-variable read count.
+  per-variable read count; only the variables some edge reads get a layer.
 * derivative_abp: partial derivative of an oblivious program with respect to
   a variable read in a single layer, by rewiring that layer.
 * cut_decompose / reduce_independent: split the polynomial at a level into
@@ -56,16 +56,17 @@ def _const_path_weights(
 
 
 def obliviate(a: Abp, pi: Permutation | None = None) -> Abp:
-    """Equivalent oblivious program with one variable layer per rank.
+    """Equivalent oblivious program with one variable layer per rank read.
 
-    The output interleaves, for each rank i in order, a "carry" level (one
-    node per original node v, computing the sum of paths into v that use
-    only variables of rank below i) and a "landing" level (nodes receiving
-    the rank-i variable edges, plus pass-through nodes that ferry carries
-    forward).  Constant-only path segments of the original program collapse
-    into single constant edges, so each original variable edge maps to
-    exactly one new edge: per-variable reads are preserved and the width is
-    at most twice the original size.
+    Step i is the i-th smallest rank an edge reads.  The output
+    interleaves, for each step i, a "carry" level (one node per original
+    node v, computing the sum of paths into v that use only the variables
+    of earlier steps) and a "landing" level (nodes receiving the step's
+    variable edges, plus pass-through nodes that ferry carries forward).
+    Constant-only path segments of the original program collapse into
+    single constant edges, so each original variable edge maps to exactly
+    one new edge: per-variable reads are preserved and the width is at most
+    twice the original size.
 
     Branches whose collapsed constant weights cancel to zero go dead but
     stay in place, keeping the edge mapping one-to-one.  Apply prune() to
@@ -75,7 +76,6 @@ def obliviate(a: Abp, pi: Permutation | None = None) -> Abp:
     pi = _resolved(a, layers, pi)
     f = a.field
     zero = f.zero()
-    n = a.num_vars
     nodes = [node for lvl in a.levels for node in lvl]
 
     # constant-only weights from the source and from every variable-edge target
@@ -89,9 +89,10 @@ def obliviate(a: Abp, pi: Permutation | None = None) -> Abp:
                 var_edges_by_rank.setdefault(pi.rank(e.label.index), []).append(e)
                 if e.dst not in const_from:
                     const_from[e.dst] = _const_path_weights(a, layers, e.dst, lvl + 1)
+    steps = [var_edges_by_rank[r] for r in sorted(var_edges_by_rank)]
 
-    # ":" never occurs in the rank digits, so these names cannot collide
-    # across distinct (kind, rank, node) triples whatever the input names.
+    # ":" never occurs in the step digits, so these names cannot collide
+    # across distinct (kind, step, node) triples whatever the input names.
     def carry(v: str, i: int) -> str:
         return f"c{i}:{v}"
 
@@ -104,23 +105,23 @@ def obliviate(a: Abp, pi: Permutation | None = None) -> Abp:
     levels: list[list[str]] = [["src"]]
     edges: list[Edge] = []
 
-    # source feeds the rank-1 carry level with constant-only path weights
+    # source feeds the step-1 carry level with constant-only path weights
     levels.append([carry(v, 1) for v in nodes])
     for v in nodes:
         w = const_from[a.source].get(v, zero)
         if w != zero:
             edges.append(Edge("src", carry(v, 1), ConstLabel(w)))
 
-    for i in range(1, n + 1):
-        # landing level: variable edges of rank i plus ferries for the carries
+    for i, step_edges in enumerate(steps, start=1):
+        # landing level: the step's variable edges plus ferries for the carries
         landing_dsts: list[str] = []
         seen_landing: set[str] = set()
-        for e in var_edges_by_rank.get(i, ()):
+        for e in step_edges:
             if e.dst not in seen_landing:
                 seen_landing.add(e.dst)
                 landing_dsts.append(e.dst)
         levels.append([landing(d, i) for d in landing_dsts] + [ferry(v, i) for v in nodes])
-        for e in var_edges_by_rank.get(i, ()):
+        for e in step_edges:
             edges.append(Edge(carry(e.src, i), landing(e.dst, i), e.label))
         one = f.one()
         for v in nodes:
@@ -136,13 +137,14 @@ def obliviate(a: Abp, pi: Permutation | None = None) -> Abp:
                 if cw != zero:
                     edges.append(Edge(landing(w_node, i), carry(v, i + 1), ConstLabel(cw)))
 
-    # the rank-(n+1) carry of the original sink holds the full polynomial;
-    # drop the other final carries and the edges that fed them
-    keep = carry(a.sink, n + 1)
-    dropped = {carry(v, n + 1) for v in nodes} - {keep}
+    # the carry after the last step of the original sink holds the full
+    # polynomial; drop the other final carries and the edges that fed them
+    last = len(steps) + 1
+    keep = carry(a.sink, last)
+    dropped = {carry(v, last) for v in nodes} - {keep}
     levels[-1] = [keep]
     edges = [e for e in edges if e.dst not in dropped]
-    return Abp(f, n, tuple(tuple(l) for l in levels), tuple(edges), pi)
+    return Abp(f, a.num_vars, tuple(tuple(l) for l in levels), tuple(edges), pi)
 
 
 def derivative_abp(a: Abp, i: int) -> Abp:
@@ -221,7 +223,7 @@ def cut_decompose(a: Abp, level: int) -> Decomposition:
         )
     f = a.field
     one = SparsePoly.const(f, f.one())
-    transfer = _poly_transfer(f, None)
+    transfer = _poly_transfer(f)
     fwd = _sweep(layers, a.source, one, 0, level, transfer, SparsePoly.add)
     bwd = _sweep(layers, a.sink, one, a.depth, level, transfer, SparsePoly.add)
     left = [fwd.get(node, SparsePoly.zero(f)) for node in a.levels[level]]

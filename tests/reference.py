@@ -1,10 +1,13 @@
 """Independent references the tests compare the package against, and the
 presentations of one program that they compare on."""
 
+import heapq
+
 from oabp.abp import (
     Abp,
     ConstLabel,
     Edge,
+    Permutation,
     VarLabel,
     _layers,
     _oblivious_report,
@@ -53,6 +56,50 @@ def layers_reference(a):
     for e in a.edges:
         layers[level_of[e.src]].append(e)
     return layers
+
+
+def infer_order_reference(a):
+    """infer_order by all predecessors: each node keeps every variable read
+    on some path into it, every such variable is constrained before each
+    variable read next, a repeat on one path is refused outright, and the
+    constraints over all num_vars variables are sorted by Kahn's algorithm
+    with a min-heap."""
+    before = {node: frozenset() for lvl in a.levels for node in lvl}
+    constraints = set()
+    for layer in layers_reference(a):
+        for e in layer:
+            carried = before[e.src]
+            if isinstance(e.label, VarLabel):
+                j = e.label.index
+                for i in carried:
+                    if i == j:
+                        return None  # repeated variable on a path
+                    constraints.add((i, j))
+                carried = carried | {j}
+            before[e.dst] = before[e.dst] | carried
+    n = a.num_vars
+    succs = {i: set() for i in range(1, n + 1)}
+    indeg = {i: 0 for i in range(1, n + 1)}
+    for i, j in constraints:
+        if j not in succs[i]:
+            succs[i].add(j)
+            indeg[j] += 1
+    ready = [i for i in range(1, n + 1) if indeg[i] == 0]
+    heapq.heapify(ready)
+    sequence = []
+    while ready:
+        i = heapq.heappop(ready)
+        sequence.append(i)
+        for j in sorted(succs[i]):
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                heapq.heappush(ready, j)
+    if len(sequence) != n:
+        return None  # precedence cycle
+    image = [0] * n
+    for rank, i in enumerate(sequence, start=1):
+        image[i - 1] = rank
+    return Permutation(image)
 
 
 def derivative_abp_reference(a, i):

@@ -24,13 +24,18 @@ from oabp.abp import (
     validate,
     zero_abp,
 )
-from oabp.corpus import standard_corpus
+from oabp.corpus import odd_variable_corpus, standard_corpus
+from oabp.families import (
+    elementary_symmetric_abp,
+    order_separation_family,
+    ryser_permanent_abp,
+)
 from oabp.errors import BudgetError, StructureError
 from oabp.fields import extension_field, prime_field, rationals
 from oabp.pit import abp_oracle, compose_test, hitset_test_abp, random_probe
 from oabp.poly import SparsePoly
 from oabp.transforms import cut_decompose, derivative_abp, obliviate
-from reference import layers_reference, renamed_reversed
+from reference import infer_order_reference, layers_reference, renamed_reversed
 
 Q = rationals()
 
@@ -205,7 +210,7 @@ def test_permutation_round_trip():
     pi = Permutation.from_sequence([2, 4, 1, 3, 5])
     assert pi.variable_sequence() == (2, 4, 1, 3, 5)
     assert pi.image == (3, 1, 4, 2, 5)
-    assert pi.rank(2) == 1 and pi.at_rank(1) == 2
+    assert pi.rank(2) == 1 and Permutation(pi.image).variable_sequence()[0] == 2
     assert Permutation(pi.image) == pi
 
 
@@ -265,6 +270,35 @@ def test_infer_order_on_shuffled_corpus():
         pi = infer_order(bare)
         assert pi is not None, member.name
         assert check_order(bare, pi), member.name
+
+
+def relabelled(a, rng):
+    """a without its order, one variable edge reading another variable."""
+    at = rng.choice([k for k, e in enumerate(a.edges) if isinstance(e.label, VarLabel)])
+    e = a.edges[at]
+    other = rng.choice([i for i in range(1, a.num_vars + 1) if i != e.label.index])
+    edges = a.edges[:at] + (Edge(e.src, e.dst, VarLabel(other)),) + a.edges[at + 1:]
+    return Abp(a.field, a.num_vars, a.levels, edges, None)
+
+
+def test_infer_order_matches_the_all_predecessors_reference():
+    programs = [m.abp for m in standard_corpus() + odd_variable_corpus()]
+    programs += [
+        elementary_symmetric_abp(7, 3),
+        elementary_symmetric_abp(9, 2),
+        ryser_permanent_abp(3),
+        order_separation_family(3).abp,
+    ]
+    rng = random.Random(14)
+    relabellable = [a for a in programs if a.num_vars > 1 and stats(a).reads]
+    programs += [relabelled(rng.choice(relabellable), rng) for _ in range(450)]
+    unorderable = 0
+    for k, a in enumerate(programs):
+        bare = Abp(a.field, a.num_vars, a.levels, a.edges, None)
+        want = infer_order_reference(bare)
+        assert infer_order(bare) == want, k
+        unorderable += want is None
+    assert len(programs) >= 600 and unorderable >= 50, (len(programs), unorderable)
 
 
 def test_check_oblivious():

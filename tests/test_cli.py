@@ -5,15 +5,17 @@ import json
 import pathlib
 import re
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 import oabp.families
+from oabp.abp import resolve_order
 from oabp.cli import CliConfig, main
 from oabp.fields import rationals
 from oabp.poly import SparsePoly
-from oabp.serialize import poly_dumps
+from oabp.serialize import abp_loads, poly_dumps
 
 
 def run(capsys, *args):
@@ -390,6 +392,41 @@ def test_rank_needs_odd_variable_count(capsys, fixtures_dir):
     code, _, err = run(capsys, "rank", fixtures_dir / "symm_4_2.abp.json")
     assert code == 2
     assert "odd variable count" in err
+
+
+@pytest.mark.parametrize("declared", [False, True], ids=["inferred", "declared"])
+def test_order_work_follows_the_edges_not_num_vars(capsys, tmp_path, declared):
+    """A program of one edge that declares 2^16 + 1 variables: rank,
+    obliviate, validate and pit --read 1 (which refuses the grid) each finish
+    in under a second, and resolving its order peaks under 16 MB.  Compose
+    mode is left out because it builds the whole generator map before any
+    size estimate, and random mode because each trial draws a point of
+    num_vars coordinates, the size of the work it is asked for."""
+    n = 2**16 + 1
+    data = {**PROGRAM_HEAD, "num_vars": n, "edges": [{"from": "s", "to": "t", "label": {"var": 2}}]}
+    if declared:
+        data["order"] = list(range(n, 0, -1))
+    path = tmp_path / "wide.abp.json"
+    path.write_text(json.dumps(data))
+    for args, want in (
+        (("rank",), 0),
+        (("obliviate", "-o", tmp_path / "out.abp.json"), 0),
+        (("validate",), 0),
+        (("pit", "--read", "1"), 2),
+    ):
+        start = time.perf_counter()
+        code, _, err = run(capsys, args[0], path, *args[1:])
+        assert time.perf_counter() - start < 1.0, args
+        assert code == want, (args, err)
+    assert "grid" in err
+    a = abp_loads(path.read_text())
+    tracemalloc.start()
+    try:
+        resolve_order(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 # -- gen ----------------------------------------------------------------------------

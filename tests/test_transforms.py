@@ -61,6 +61,16 @@ def test_obliviate_contract_on_corpus_sample():
         assert stats(b).width <= 2 * stats(a).size, member.name
 
 
+def test_obliviate_lays_out_only_the_variables_read():
+    # 99 corpus members declare variables they never read; none gets a layer
+    unread = 0
+    for member in standard_corpus():
+        a = member.abp
+        assert obliviate(a).depth == 2 * len(stats(a).reads) + 1, member.name
+        unread += len(stats(a).reads) < a.num_vars
+    assert unread == 99
+
+
 def test_obliviate_keeps_reads_through_cancelling_constants():
     # two s->m paths with weights 1 and -1: the collapsed constant edge into
     # the carry of m is zero, but both x1 edges must survive
