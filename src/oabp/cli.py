@@ -7,7 +7,10 @@ completed (whatever the verdict), 1 usage error, 2 runtime error such as a
 failed parse, a budget overrun, or a field mismatch.
 
 A config file (JSON object) can preset shared knobs; point OABP_CONFIG at
-it or pass --config.  Command line flags win over the config file.
+it or pass --config.  A flag left unset takes the config's value, and main
+merges the config into the parsed arguments once.  Each handler takes only
+those arguments and returns (payload, human lines), or None after writing
+an artifact to stdout; main alone prints and picks the exit status.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .families import (
     seeded_weights,
     DEFAULT_WEIGHT_PRIME,
 )
-from .fields import Field, _json_int, extension_field, prime_field, rationals
+from .fields import Field, _json_int, _text_int, extension_field, prime_field, rationals
 from .generator import (
     GeneratorParams,
     build_generator,
@@ -85,10 +88,6 @@ class CliConfig:
     seed: int = 0
     output: str = "human"  # "human" | "json"
 
-    def check(self) -> None:
-        if self.output not in ("human", "json"):
-            raise FormatError(f"bad output {self.output!r}: want 'human' or 'json'")
-
 
 def load_config(path: str | None) -> CliConfig:
     """The defaults, overridden by the file at path or $OABP_CONFIG: a str
@@ -115,7 +114,8 @@ def load_config(path: str | None) -> CliConfig:
             elif not isinstance(value, str):
                 raise FormatError(f"bad {key} {value!r}: not a string")
             setattr(cfg, key, value)
-        cfg.check()
+        if cfg.output not in ("human", "json"):
+            raise FormatError(f"bad output {cfg.output!r}: want 'human' or 'json'")
     except FormatError as exc:
         raise FormatError(f"{path}: {exc}") from exc
     return cfg
@@ -131,8 +131,8 @@ def parse_field_spec(spec: str) -> Field:
         try:
             if "^" in body:
                 p_text, d_text = body.split("^", 1)
-                return extension_field(int(p_text), int(d_text))
-            return prime_field(int(body))
+                return extension_field(_text_int(p_text), _text_int(d_text))
+            return prime_field(_text_int(body))
         except ValueError as exc:
             raise FormatError(f"bad field spec {spec!r}: {exc}") from exc
     raise FormatError(f"bad field spec {spec!r}; use Q, F<p>, or F<p>^<d>")
@@ -164,7 +164,7 @@ def _load_abp(path: str) -> Abp:
 def _parse_order(text: str, n: int) -> Permutation:
     """--order takes the variable sequence: first-read variable first."""
     try:
-        seq = [int(tok) for tok in text.replace(" ", "").split(",") if tok]
+        seq = [_text_int(tok) for tok in text.replace(" ", "").split(",") if tok]
     except ValueError as exc:
         raise FormatError(f"bad order {text!r}: {exc}") from exc
     if len(seq) != n:
@@ -179,28 +179,14 @@ def _parse_point(field: Field, text: str, n: int) -> tuple:
     return tuple(field.element_from_text(tok.strip()) for tok in parts)
 
 
-class _Emitter:
-    """Routes results either as human lines or as one canonical JSON blob."""
-
-    def __init__(self, json_mode: bool):
-        self.json_mode = json_mode
-
-    def emit(self, payload: dict, lines: list[str]) -> None:
-        if self.json_mode:
-            print(json.dumps(payload, sort_keys=True, indent=1))
-        else:
-            for line in lines:
-                print(line)
-
-
-def _write_artifact(text: str, out: str | None, emitter: _Emitter, payload: dict, summary: str) -> None:
-    """Write a canonical artifact to a file, or to stdout when no -o."""
-    if out:
-        Path(out).write_text(text)
-        payload = dict(payload, out=out)
-        emitter.emit(payload, [summary + f" -> {out}"])
-    else:
+def _write_artifact(text: str, out: str | None, payload: dict, summary: str):
+    """Write a canonical artifact to the -o file and return what to print
+    about it; with no -o, write it to stdout and return None."""
+    if not out:
         sys.stdout.write(text)
+        return None
+    Path(out).write_text(text)
+    return dict(payload, out=out), [summary + f" -> {out}"]
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +194,7 @@ def _write_artifact(text: str, out: str | None, emitter: _Emitter, payload: dict
 # ---------------------------------------------------------------------------
 
 
-def cmd_validate(args, cfg: CliConfig, emitter: _Emitter) -> int:
+def cmd_validate(args):
     obj = _load_file(args.file)
     if isinstance(obj, Abp):
         problems = validate(obj)
@@ -225,11 +211,10 @@ def cmd_validate(args, cfg: CliConfig, emitter: _Emitter) -> int:
     else:
         payload = {"file": args.file, "kind": "poly", "ok": True, "problems": []}
         lines = ["OK"]
-    emitter.emit(payload, lines)
-    return 0
+    return payload, lines
 
 
-def cmd_stats(args, cfg: CliConfig, emitter: _Emitter) -> int:
+def cmd_stats(args):
     obj = _load_file(args.file)
     if isinstance(obj, Abp):
         st = stats(obj)
@@ -265,11 +250,10 @@ def cmd_stats(args, cfg: CliConfig, emitter: _Emitter) -> int:
             f"polynomial over {obj.field.config.kind}: {obj.num_terms} terms, "
             f"total degree {obj.total_degree()}, multilinear {obj.is_multilinear()}",
         ]
-    emitter.emit(payload, lines)
-    return 0
+    return payload, lines
 
 
-def cmd_eval(args, cfg: CliConfig, emitter: _Emitter) -> int:
+def cmd_eval(args):
     obj = _load_file(args.file)
     field = obj.field
     if isinstance(obj, Abp):
@@ -279,56 +263,46 @@ def cmd_eval(args, cfg: CliConfig, emitter: _Emitter) -> int:
         variables = sorted(obj.variables(), key=var_sort_key)
         point = _parse_point(field, args.point, len(variables))
         value = obj.evaluate(dict(zip(variables, point)))
-    emitter.emit(
-        {"value": field.element_to_json(value)},
-        [field.element_to_text(value)],
-    )
-    return 0
+    return {"value": field.element_to_json(value)}, [field.element_to_text(value)]
 
 
-def cmd_expand(args, cfg: CliConfig, emitter: _Emitter) -> int:
+def cmd_expand(args):
     a = _load_abp(args.file)
-    p = expand(a, budget=cfg.term_budget if args.budget is None else args.budget)
-    _write_artifact(
+    p = expand(a, budget=args.term_budget)
+    return _write_artifact(
         poly_dumps(p),
         args.out,
-        emitter,
         {"terms": p.num_terms, "total_degree": p.total_degree()},
         f"expanded to {p.num_terms} terms",
     )
-    return 0
 
 
-def cmd_obliviate(args, cfg: CliConfig, emitter: _Emitter) -> int:
+def cmd_obliviate(args):
     a = _load_abp(args.file)
     pi = _parse_order(args.order, a.num_vars) if args.order else None
     b = obliviate(a, pi)
     st = stats(b)
-    _write_artifact(
+    return _write_artifact(
         abp_dumps(b),
         args.out,
-        emitter,
         {"size": st.size, "width": st.width, "depth": st.depth},
         f"oblivious program: size {st.size}, width {st.width}",
     )
-    return 0
 
 
-def cmd_derivative(args, cfg: CliConfig, emitter: _Emitter) -> int:
+def cmd_derivative(args):
     a = _load_abp(args.file)
     d = derivative_abp(a, args.var)
     st = stats(d)
-    _write_artifact(
+    return _write_artifact(
         abp_dumps(d),
         args.out,
-        emitter,
         {"size": st.size, "width": st.width, "var": args.var},
         f"derivative in x_{args.var}: size {st.size}",
     )
-    return 0
 
 
-def cmd_decompose(args, cfg: CliConfig, emitter: _Emitter) -> int:
+def cmd_decompose(args):
     a = _load_abp(args.file)
     dec = cut_decompose(a, args.cut)
     if args.reduce:
@@ -343,23 +317,22 @@ def cmd_decompose(args, cfg: CliConfig, emitter: _Emitter) -> int:
     lines = [f"cut at level {dec.cut_level}: width {dec.width}" + (" (reduced)" if args.reduce else "")]
     for i, (l, r) in enumerate(zip(dec.left, dec.right), start=1):
         lines.append(f"pair {i}: left {l.num_terms} terms, right {r.num_terms} terms")
-    emitter.emit(payload, lines)
-    return 0
+    return payload, lines
 
 
-def cmd_gen(args, cfg: CliConfig, emitter: _Emitter) -> int:
-    field = parse_field_spec(args.field or cfg.field)
-    params = GeneratorParams.create(args.k, args.r, field)
-    names = seed_names(args.k, args.r)
+def cmd_gen(args):
+    field = parse_field_spec(args.field)
     if args.eval is not None:
+        # the point is read before the 2^k interpolation nodes are laid out
         point = _parse_point(field, args.eval, seed_count(args.k, args.r))
-        values = eval_generator(params, point)
-        emitter.emit(
+        values = eval_generator(GeneratorParams.create(args.k, args.r, field), point)
+        return (
             {"outputs": [field.element_to_json(v) for v in values]},
             [", ".join(field.element_to_text(v) for v in values)],
         )
-        return 0
-    components = build_generator(params, budget=cfg.term_budget)
+    params = GeneratorParams.create(args.k, args.r, field)
+    names = seed_names(args.k, args.r)
+    components = build_generator(params, budget=args.term_budget)
     payload = {
         "k": args.k,
         "r": args.r,
@@ -370,8 +343,7 @@ def cmd_gen(args, cfg: CliConfig, emitter: _Emitter) -> int:
     lines = [f"map with {len(names)} seeds {', '.join(names)} and {len(components)} outputs:"]
     for j, comp in enumerate(components, start=1):
         lines.append(f"G{j} = {comp}")
-    emitter.emit(payload, lines)
-    return 0
+    return payload, lines
 
 
 def _witness_views(verdict):
@@ -387,16 +359,16 @@ def _witness_views(verdict):
     return [field.element_to_json(x) for x in w], text
 
 
-def cmd_pit(args, cfg: CliConfig, emitter: _Emitter) -> int:
+def cmd_pit(args):
     a = _load_abp(args.file)
     if args.order:
         pi = _parse_order(args.order, a.num_vars)
         a = Abp(a.field, a.num_vars, a.levels, a.edges, pi)
     opts = PitOptions(
-        grid_budget=cfg.grid_budget if args.grid_budget is None else args.grid_budget,
-        term_budget=cfg.term_budget if args.term_budget is None else args.term_budget,
+        grid_budget=args.grid_budget,
+        term_budget=args.term_budget,
         trials=args.trials,
-        seed=args.seed if args.seed is not None else cfg.seed,
+        seed=args.seed,
     )
     if args.mode == "hitset":
         verdict = hitset_test_abp(a, args.read, opts)
@@ -418,11 +390,10 @@ def cmd_pit(args, cfg: CliConfig, emitter: _Emitter) -> int:
         lines.append(f"witness: {witness_text}")
     if verdict.note:
         lines.append(f"note: {verdict.note}")
-    emitter.emit(payload, lines)
-    return 0
+    return payload, lines
 
 
-def cmd_rank(args, cfg: CliConfig, emitter: _Emitter) -> int:
+def cmd_rank(args):
     obj = _load_file(args.file)
     if isinstance(obj, Abp):
         n = obj.num_vars
@@ -441,73 +412,55 @@ def cmd_rank(args, cfg: CliConfig, emitter: _Emitter) -> int:
         n = max(variables) if variables else 0
         pi = _parse_order(args.order, n) if args.order else Permutation.identity(n)
     bound = read_lower_bound(obj, pi)
-    emitter.emit(
+    return (
         {"read_lower_bound": bound, "order": list(pi.variable_sequence())},
         [f"read lower bound: {bound}"],
     )
-    return 0
 
 
-def cmd_family(args, cfg: CliConfig, emitter: _Emitter) -> int:
-    field = parse_field_spec(args.field or cfg.field)
-    if args.name == "symm":
-        if args.k is None:
+def cmd_family(args):
+    field = parse_field_spec(args.field)
+    meta = {"family": args.name, "n": args.n}
+    if args.name in ("symm", "ryser"):
+        if args.name == "ryser":
+            a = ryser_permanent_abp(args.n, field)
+            title = f"ryser n={args.n}"
+        elif args.k is None:
             raise FormatError("family symm needs --k")
-        a = elementary_symmetric_abp(args.n, args.k, field)
+        else:
+            a = elementary_symmetric_abp(args.n, args.k, field)
+            meta["k"] = args.k
+            title = f"symm n={args.n} k={args.k}"
         st = stats(a)
-        _write_artifact(
-            abp_dumps(a), args.out, emitter,
-            {"family": "symm", "n": args.n, "k": args.k, "size": st.size, "read": st.read},
-            f"symm n={args.n} k={args.k}: size {st.size}, read {st.read}",
-        )
-        return 0
-    if args.name == "ryser":
-        a = ryser_permanent_abp(args.n, field)
-        st = stats(a)
-        _write_artifact(
-            abp_dumps(a), args.out, emitter,
-            {"family": "ryser", "n": args.n, "size": st.size, "read": st.read},
-            f"ryser n={args.n}: size {st.size}, read {st.read}",
-        )
-        return 0
-    if args.name == "ordersep":
+        text = abp_dumps(a)
+        meta.update(size=st.size, read=st.read)
+        summary = f"{title}: size {st.size}, read {st.read}"
+    elif args.name == "ordersep":
         fam = order_separation_family(args.n, field)
         good = list(fam.good_order.variable_sequence())
         bad = list(fam.bad_order.variable_sequence())
-        meta = {"family": "ordersep", "n": args.n, "good_order": good, "bad_order": bad}
+        meta.update(good_order=good, bad_order=bad)
         if args.emit == "poly":
-            _write_artifact(
-                poly_dumps(fam.poly), args.out, emitter, meta,
-                f"ordersep n={args.n} polynomial; good order {good}, bad order {bad}",
-            )
+            text, kind = poly_dumps(fam.poly), "polynomial"
         else:
-            _write_artifact(
-                abp_dumps(fam.abp), args.out, emitter, meta,
-                f"ordersep n={args.n} program; good order {good}, bad order {bad}",
-            )
-        return 0
-    if args.name == "fullrank":
+            text, kind = abp_dumps(fam.abp), "program"
+        summary = f"ordersep n={args.n} {kind}; good order {good}, bad order {bad}"
+    else:  # fullrank
         if field.size() is None:
             field = prime_field(DEFAULT_WEIGHT_PRIME)
         m = 2 * args.n + 1
-        weights = seeded_weights(field, m, args.seed if args.seed is not None else cfg.seed)
-        p = full_rank_poly(field, 1, m, weights)
-        _write_artifact(
-            poly_dumps(p), args.out, emitter,
-            {"family": "fullrank", "n": args.n, "terms": p.num_terms},
-            f"fullrank n={args.n}: {p.num_terms} terms over F_{field.config.p}",
-        )
-        return 0
-    raise FormatError(f"unknown family {args.name!r}")  # pragma: no cover
+        p = full_rank_poly(field, 1, m, seeded_weights(field, m, args.seed))
+        text = poly_dumps(p)
+        meta["terms"] = p.num_terms
+        summary = f"fullrank n={args.n}: {p.num_terms} terms over F_{field.config.p}"
+    return _write_artifact(text, args.out, meta, summary)
 
 
-def cmd_equal(args, cfg: CliConfig, emitter: _Emitter) -> int:
-    budget = cfg.term_budget if args.term_budget is None else args.term_budget
-
+def cmd_equal(args):
     def as_poly(path: str) -> SparsePoly:
         obj = _load_file(path)
         if isinstance(obj, Abp):
-            return expand(obj, budget=budget)
+            return expand(obj, budget=args.term_budget)
         return obj
 
     p = as_poly(args.a)
@@ -517,11 +470,7 @@ def cmd_equal(args, cfg: CliConfig, emitter: _Emitter) -> int:
             f"field mismatch: {p.field.config.to_json()} vs {q.field.config.to_json()}"
         )
     same = p == q
-    emitter.emit(
-        {"equal": same},
-        ["EQUAL" if same else "DIFFERENT"],
-    )
-    return 0
+    return {"equal": same}, ["EQUAL" if same else "DIFFERENT"]
 
 
 # ---------------------------------------------------------------------------
@@ -538,11 +487,23 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _int(text: str) -> int:
+    """argparse type of the integer flags, with argparse's own message."""
+    try:
+        return _text_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _count(text: str) -> int:
     """argparse type of the budget and trials flags: an integer >= 1."""
-    if not (text.isascii() and text.isdigit() and int(text) >= 1):
+    try:
+        n = _text_int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
         raise argparse.ArgumentTypeError(f"want an integer >= 1, got {text!r}")
-    return int(text)
+    return n
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -572,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("expand", cmd_expand, "expand a program to a polynomial file")
     p.add_argument("file")
     p.add_argument("-o", "--out", help="output file (default: stdout)")
-    p.add_argument("--budget", type=_count, help="term budget")
+    p.add_argument("--budget", type=_count, dest="term_budget", metavar="BUDGET", help="term budget")
 
     p = add("obliviate", cmd_obliviate, "rewrite as an oblivious program")
     p.add_argument("file")
@@ -581,29 +542,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("derivative", cmd_derivative, "partial derivative of an oblivious program")
     p.add_argument("file")
-    p.add_argument("--var", type=int, required=True, help="variable index (1-based)")
+    p.add_argument("--var", type=_int, required=True, help="variable index (1-based)")
     p.add_argument("-o", "--out", help="output file (default: stdout)")
 
     p = add("decompose", cmd_decompose, "cut into left/right polynomial pairs")
     p.add_argument("file")
-    p.add_argument("--cut", type=int, required=True, help="cut level index")
+    p.add_argument("--cut", type=_int, required=True, help="cut level index")
     p.add_argument("--reduce", action="store_true", help="reduce to independent pairs")
 
     p = add("gen", cmd_gen, "build or evaluate the hitting-set map")
-    p.add_argument("--k", type=int, required=True, help="recursion level")
-    p.add_argument("--r", type=int, required=True, help="read bound")
+    p.add_argument("--k", type=_int, required=True, help="recursion level")
+    p.add_argument("--r", type=_int, required=True, help="read bound")
     p.add_argument("--field", help="field spec: Q, F<p>, F<p>^<d>")
     p.add_argument("--eval", help="comma-separated seed values")
 
     p = add("pit", cmd_pit, "zero-test a program")
     p.add_argument("file")
-    p.add_argument("--read", type=int, required=True, help="read bound r")
+    p.add_argument("--read", type=_int, required=True, help="read bound r")
     p.add_argument("--mode", choices=("hitset", "compose", "random"), default="hitset")
     p.add_argument("--order", help="override the variable order")
     p.add_argument("--grid-budget", type=_count, dest="grid_budget")
     p.add_argument("--term-budget", type=_count, dest="term_budget")
     p.add_argument("--trials", type=_count, default=DEFAULT_TRIALS, help="samples in random mode")
-    p.add_argument("--seed", type=int, help="seed in random mode")
+    p.add_argument("--seed", type=_int, help="seed in random mode")
 
     p = add("rank", cmd_rank, "read lower bound from the derivative matrix")
     p.add_argument("file")
@@ -611,9 +572,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("family", cmd_family, "write a named example family")
     p.add_argument("name", choices=("symm", "ryser", "ordersep", "fullrank"))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, help="degree (symm only)")
-    p.add_argument("--seed", type=int, help="weight seed (fullrank only)")
+    p.add_argument("--n", type=_int, required=True)
+    p.add_argument("--k", type=_int, help="degree (symm only)")
+    p.add_argument("--seed", type=_int, help="weight seed (fullrank only)")
     p.add_argument("--emit", choices=("abp", "poly"), default="abp", help="ordersep artifact kind")
     p.add_argument("--field", help="field spec: Q, F<p>, F<p>^<d>")
     p.add_argument("-o", "--out", help="output file (default: stdout)")
@@ -637,13 +598,21 @@ def main(argv=None) -> int:
         return 1
     try:
         cfg = load_config(args.config)
-        if args.json:
-            cfg.output = "json"
-        emitter = _Emitter(cfg.output == "json")
-        return args.handler(args, cfg, emitter)
+        for key, value in vars(cfg).items():  # a flag left unset takes the config's value
+            if getattr(args, key, None) is None:
+                setattr(args, key, value)
+        result = args.handler(args)
     except OabpError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if result is not None:  # None: the handler wrote an artifact to stdout
+        payload, lines = result
+        if args.json or args.output == "json":
+            print(json.dumps(payload, sort_keys=True, indent=1))
+        else:
+            for line in lines:
+                print(line)
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

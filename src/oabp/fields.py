@@ -27,6 +27,7 @@ DEFAULT_SEARCH_BUDGET = 1 << 20
 # A file spells a rational as element_to_json does; typed text may add a
 # decimal point.  Neither takes an exponent, for which Fraction builds 10^e.
 _RATIONAL_JSON = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_DECIMAL_TEXT = re.compile(r"[-+]?[0-9]+")
 _RATIONAL_TEXT = re.compile(r"[-+]?([0-9]+(/[0-9]+)?|[0-9]*\.[0-9]+|[0-9]+\.)")
 
 
@@ -196,6 +197,16 @@ def _json_int(v: Any, what: str, low: int | None = None, below: int | None = Non
     if below is not None and v >= below:
         raise FormatError(f"bad {what} {v}: want less than {below}")
     return v
+
+
+def _text_int(s: str) -> int:
+    """int(s) when s is an optional sign and ASCII decimal digits, else the
+    ValueError int() gives for bad text; int() itself also takes `_`
+    separators, surrounding whitespace and non-ASCII digits.  The one reader
+    of every integer typed on a command line."""
+    if not _DECIMAL_TEXT.fullmatch(s):
+        raise ValueError(f"invalid literal for int() with base 10: {s!r}")
+    return int(s)
 
 
 @dataclass(frozen=True)
@@ -434,7 +445,7 @@ class PrimeField(Field):
 
     def element_from_text(self, s: str):
         try:
-            return int(s) % self.p
+            return _text_int(s) % self.p
         except ValueError as exc:
             raise FormatError(f"bad residue {s!r}: {exc}") from exc
 
@@ -548,7 +559,7 @@ class ExtensionField(Field):
         if len(parts) != self.deg:
             raise FormatError(f"bad extension element {s!r}: need {self.deg} coefficients")
         try:
-            return tuple(int(c) % self.p for c in parts)
+            return tuple(_text_int(c) % self.p for c in parts)
         except ValueError as exc:
             raise FormatError(f"bad extension element {s!r}") from exc
 

@@ -153,10 +153,13 @@ def derivative_abp(a: Abp, i: int) -> Abp:
     Requires x_i to be read in exactly one layer (so the program is linear
     in x_i).  In that layer the variable edges become constant-1 edges and
     the constant edges disappear; every other layer is untouched.  If x_i is
-    never read the derivative is the zero program.  The rewritten grouping is
-    pruned as it stands; no intermediate program is built.
+    never read the derivative is the zero program; an i outside 1..num_vars
+    is refused.  The rewritten grouping is pruned as it stands; no
+    intermediate program is built.
     """
     grouped = _layers(a)
+    if not 1 <= i <= a.num_vars:
+        raise StructureError(f"variable x_{i} out of range 1..{a.num_vars}")
     rep = _oblivious_report(grouped)
     if not rep.ok:
         raise StructureError(f"program is not oblivious: {rep.problem}")

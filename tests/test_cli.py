@@ -464,6 +464,14 @@ def test_gen_eval(capsys):
     assert (code, out) == (0, "-1, 2\n")
 
 
+def test_gen_eval_reads_the_point_before_laying_out_nodes(capsys):
+    # k = 30 would enumerate 2^30 interpolation nodes before any arity check
+    start = time.perf_counter()
+    code, out, err = run(capsys, "gen", "--k", "30", "--r", "1", "--eval", "1")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (2, "", "error: point has 1 coordinates, expected 121\n")
+
+
 def test_gen_eval_json(capsys):
     code, out, _ = run(
         capsys, "--json", "gen", "--k", "1", "--r", "1", "--eval", "0,0,0,1,2"
@@ -580,6 +588,17 @@ def test_derivative_then_eval(capsys, fixtures_dir, tmp_path):
     assert (code, out) == (0, "16\n")
 
 
+@pytest.mark.parametrize("var", ["999", "-1"])
+def test_derivative_refuses_a_variable_out_of_range(capsys, fixtures_dir, tmp_path, var):
+    target = tmp_path / "d.abp.json"
+    code, out, err = run(
+        capsys, "derivative", fixtures_dir / "symm_3_2.abp.json", "--var", var, "-o", target
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: variable x_{var} out of range 1..3\n"
+    assert not target.exists()
+
+
 def test_decompose_with_reduction(capsys, fixtures_dir):
     code, out, _ = run(
         capsys, "decompose", fixtures_dir / "symm_3_2.abp.json", "--cut", "1", "--reduce"
@@ -619,6 +638,59 @@ def test_config_env_var(capsys, fixtures_dir, tmp_path, monkeypatch):
     )
     assert code == 0
     assert out.startswith("NONZERO")
+
+
+@pytest.mark.parametrize(
+    "key, value, plain, given, other",
+    [
+        ("term_budget", 2, ["expand", "symm_3_2.abp.json"],
+         ["expand", "symm_3_2.abp.json", "--budget", "2"],
+         ["expand", "symm_3_2.abp.json", "--budget", "1000"]),
+        ("term_budget", 2, ["equal", "symm_3_2.abp.json", "symm_3_2.poly.json"],
+         ["equal", "symm_3_2.abp.json", "symm_3_2.poly.json", "--term-budget", "2"],
+         ["equal", "symm_3_2.abp.json", "symm_3_2.poly.json", "--term-budget", "1000"]),
+        ("term_budget", 2, ["pit", "symm_3_2.abp.json", "--read", "2", "--mode", "compose"],
+         ["pit", "symm_3_2.abp.json", "--read", "2", "--mode", "compose", "--term-budget", "2"],
+         ["pit", "symm_3_2.abp.json", "--read", "2", "--mode", "compose", "--term-budget", "1000"]),
+        ("term_budget", 2, ["gen", "--k", "2", "--r", "1"], None, None),  # gen has no flag
+        ("grid_budget", 50, ["pit", "x1x2.abp.json", "--read", "1"],
+         ["pit", "x1x2.abp.json", "--read", "1", "--grid-budget", "50"],
+         ["pit", "x1x2.abp.json", "--read", "1", "--grid-budget", "1000"]),
+        ("seed", 5, ["pit", "x1x2.abp.json", "--read", "1", "--mode", "random"],
+         ["pit", "x1x2.abp.json", "--read", "1", "--mode", "random", "--seed", "5"],
+         ["pit", "x1x2.abp.json", "--read", "1", "--mode", "random", "--seed", "3"]),
+        ("seed", 5, ["family", "fullrank", "--n", "1"],
+         ["family", "fullrank", "--n", "1", "--seed", "5"],
+         ["family", "fullrank", "--n", "1", "--seed", "3"]),
+        ("field", "F7", ["gen", "--k", "1", "--r", "1"],
+         ["gen", "--k", "1", "--r", "1", "--field", "F7"],
+         ["gen", "--k", "1", "--r", "1", "--field", "F11"]),
+        ("field", "F7", ["family", "symm", "--n", "3", "--k", "2"],
+         ["family", "symm", "--n", "3", "--k", "2", "--field", "F7"],
+         ["family", "symm", "--n", "3", "--k", "2", "--field", "F11"]),
+        # no flag asks for human output, so nothing can win over "json"
+        ("output", "json", ["stats", "x1x2.abp.json"], ["--json", "stats", "x1x2.abp.json"], None),
+    ],
+    ids=["expand-term_budget", "equal-term_budget", "pit-compose-term_budget", "gen-term_budget",
+         "pit-grid_budget", "pit-random-seed", "family-fullrank-seed", "gen-field",
+         "family-field", "stats-output"],
+)
+def test_a_flag_left_unset_takes_the_config_value(
+    capsys, fixtures_dir, tmp_path, key, value, plain, given, other
+):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+
+    def go(argv, config=True):
+        argv = [fixtures_dir / a if a.endswith(".json") else a for a in argv]
+        return run(capsys, *(["--config", cfg] if config else []), *argv)
+
+    from_config = go(plain)
+    assert from_config != go(plain, config=False)  # the config's value applies ...
+    if given is not None:
+        assert from_config == go(given, config=False)  # ... just as the flag would
+    if other is not None:
+        assert go(other) == go(other, config=False) != from_config  # the flag wins
 
 
 def test_config_rejects_unknown_keys(capsys, fixtures_dir, tmp_path):
@@ -693,6 +765,37 @@ def test_count_flags_want_an_integer_of_at_least_one(capsys, fixtures_dir, args)
     code, out, err = run(capsys, *args)
     assert (code, out) == (1, "")
     assert "want an integer >= 1" in err
+
+
+@pytest.mark.parametrize(
+    "args, code, message",
+    [
+        (("gen", "--k", "1", "--r", "1", "--field", "F1_0_0_0_7"), 2, "bad field spec"),
+        (("gen", "--k", "1", "--r", "1", "--field", "F\u0667"), 2, "bad field spec"),
+        (("gen", "--k", "1", "--r", "1", "--field", "F3^ 2"), 2, "bad field spec"),
+        (("obliviate", "symm_3_2.abp.json", "--order", "1,2,\u0663"), 2, "bad order"),
+        (("obliviate", "symm_3_2.abp.json", "--order", "1,2,3_0"), 2, "bad order"),
+        (("eval", "affine_f7.abp.json", "--point", "1_0,1"), 2, "bad residue"),
+        (("gen", "--k", "1", "--r", "1", "--field", "F2^3",
+          "--eval", "0:0:0,0:0:0,0:0:0,1:0:0,0:\u0661:0"), 2, "bad extension element"),
+        (("gen", "--k", "1_0", "--r", "1"), 1, "argument --k: invalid int value"),
+        (("gen", "--k", " 1", "--r", "1"), 1, "argument --k: invalid int value"),
+        (("decompose", "symm_3_2.abp.json", "--cut", "\u0661"), 1,
+         "argument --cut: invalid int value"),
+        (("family", "fullrank", "--n", "1", "--seed", "1_0"), 1,
+         "argument --seed: invalid int value"),
+        (("pit", "x1x2.abp.json", "--read", "1", "--grid-budget", "1_000"), 1,
+         "want an integer >= 1"),
+    ],
+    ids=["field-separator", "field-arabic-indic", "field-degree-space", "order-arabic-indic",
+         "order-separator", "residue-separator", "extension-arabic-indic", "flag-separator",
+         "flag-space", "flag-arabic-indic", "seed-separator", "count-separator"],
+)
+def test_command_line_integers_are_ascii_decimal_digits(capsys, fixtures_dir, args, code, message):
+    args = [fixtures_dir / a if a.endswith(".json") else a for a in args]
+    got, out, err = run(capsys, *args)
+    assert (got, out) == (code, "")
+    assert message in err
 
 
 def test_usage_errors_exit_one(capsys, fixtures_dir):

@@ -9,6 +9,7 @@ from oabp.errors import BudgetError, FieldError, FormatError
 from oabp.fields import (
     FieldConfig,
     _pmod,
+    _text_int,
     _pmul,
     _trim,
     enumerate_points,
@@ -21,6 +22,22 @@ from oabp.fields import (
     prime_field,
     rationals,
 )
+
+
+@pytest.mark.parametrize("text, value", [("7", 7), ("+7", 7), ("-7", -7), ("007", 7), ("0", 0)])
+def test_text_int_reads_a_sign_and_ascii_digits(text, value):
+    assert _text_int(text) == value
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1_0", " 1", "1 ", "1\n", "\u0667", "\uff17", "", "+", "1.0", "0x7"],
+    ids=["separator", "leading-space", "trailing-space", "newline", "arabic-indic-digit",
+         "fullwidth-digit", "empty", "sign-only", "decimal-point", "hex"],
+)
+def test_text_int_refuses_what_int_reads_beyond_ascii_digits(text):
+    with pytest.raises(ValueError, match="invalid literal for int"):
+        _text_int(text)
 
 
 def test_rational_arithmetic_is_exact():

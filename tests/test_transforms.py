@@ -152,6 +152,15 @@ def test_derivative_of_unread_variable_is_zero_program():
     assert expand(d).is_zero
 
 
+@pytest.mark.parametrize("i", [0, -1, 4, 999])
+def test_derivative_refuses_a_variable_out_of_range(i):
+    a = make_abp(
+        Q, 3, [["s"], ["m"], ["t"]], [("s", "m", VarLabel(1)), ("m", "t", VarLabel(3))]
+    )
+    with pytest.raises(StructureError, match=f"variable x_{i} out of range 1..3"):
+        derivative_abp(obliviate(a), i)
+
+
 def test_derivative_needs_single_layer_reads():
     a = make_abp(
         Q, 1, [["s"], ["m"], ["t"]], [("s", "m", VarLabel(1)), ("m", "t", VarLabel(1))]
