@@ -24,8 +24,9 @@ a value from a start node layer by layer to a stop level: along the edges if
 that level is later, against them if earlier.  Each edge passes
 ``transfer(value, label)`` from its near to its far end (None drops it);
 contributions meeting at a node combine by ``add(old, new)``; ``each_level``
-sees each level reached.  It returns the stop level's values by node, with
-no entry for a node that nothing reaches.
+sees each level reached, up to and including the first level with no value
+left, where the walk stops.  It returns the stop level's values by node,
+with no entry for a node that nothing reaches.
 """
 
 from __future__ import annotations
@@ -269,6 +270,8 @@ def _sweep(
         vals = nxt
         if each_level is not None:
             each_level(lvl + 1 if forward else lvl, vals)
+        if not vals:
+            break
     return vals
 
 

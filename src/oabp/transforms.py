@@ -2,7 +2,9 @@
 
 * obliviate: reshape an ordered program so that each layer reads one fixed
   variable, in rank order, without changing the polynomial or any
-  per-variable read count; only the variables some edge reads get a layer.
+  per-variable read count; only the variables some edge reads get a layer,
+  and each node's carry only the steps from the first an edge feeds it to
+  the last it reads.
 * derivative_abp: partial derivative of an oblivious program with respect to
   a variable read in a single layer, by rewiring that layer.
 * cut_decompose / reduce_independent: split the polynomial at a level into
@@ -59,37 +61,69 @@ def obliviate(a: Abp, pi: Permutation | None = None) -> Abp:
     """Equivalent oblivious program with one variable layer per rank read.
 
     Step i is the i-th smallest rank an edge reads.  The output
-    interleaves, for each step i, a "carry" level (one node per original
-    node v, computing the sum of paths into v that use only the variables
-    of earlier steps) and a "landing" level (nodes receiving the step's
-    variable edges, plus pass-through nodes that ferry carries forward).
-    Constant-only path segments of the original program collapse into
-    single constant edges, so each original variable edge maps to exactly
-    one new edge: per-variable reads are preserved and the width is at most
-    twice the original size.
+    interleaves, for each step i, a "carry" level (nodes carry(v, i) for
+    original nodes v, each computing the sum of paths into v that use only
+    the variables of earlier steps) and a "landing" level (nodes receiving the
+    step's variable edges, plus pass-through nodes that ferry carries
+    forward).  Constant-only path segments of the original program collapse
+    into single constant edges, so each original variable edge maps to
+    exactly one new edge: per-variable reads are preserved and the width is
+    at most twice the original size.
 
-    Branches whose collapsed constant weights cancel to zero go dead but
-    stay in place, keeping the edge mapping one-to-one.  Apply prune() to
-    the result if compactness matters more than exact read counts.
+    Only live carries are laid out.  first_in(v) is the first step at which
+    an edge feeds carry(v, .), from the source or from a landing's constant
+    fan-out; last_out(v) is the last step at which v reads a variable, and
+    one past the last step for the sink.  A ferry carry(v, i) -> carry(v,
+    i + 1) exists only for first_in(v) <= i < last_out(v), a fan-out edge
+    into carry(v, i) only for i <= last_out(v), and a level lists only the
+    nodes some edge touches.  No path sum changes: a carry before first_in
+    has no edge into it, so it is structurally zero, and a carry after
+    last_out is not the sink and reaches no later variable edge, so nothing
+    it holds reaches the sink.  Every variable edge is still emitted, so the
+    reads are exact.  The result is the full layout with those edges and
+    nodes left out, in the same order, so prune and derivative_abp give the
+    same programs on both.
     """
     layers = _layers(a)
     pi = _resolved(a, layers, pi)
     f = a.field
     zero = f.zero()
     nodes = [node for lvl in a.levels for node in lvl]
+    position = {v: k for k, v in enumerate(nodes)}
+
+    def fan_out(start: str, start_level: int) -> list[tuple[str, Any]]:
+        """Nonzero constant-only path weights from start, in level order."""
+        weights = _const_path_weights(a, layers, start, start_level)
+        live = [v for v, w in weights.items() if w != zero]
+        return [(v, weights[v]) for v in sorted(live, key=position.__getitem__)]
 
     # constant-only weights from the source and from every variable-edge target
-    const_from: dict[str, dict[str, Any]] = {
-        a.source: _const_path_weights(a, layers, a.source, 0)
-    }
+    const_from: dict[str, list[tuple[str, Any]]] = {a.source: fan_out(a.source, 0)}
     var_edges_by_rank: dict[int, list[Edge]] = {}
     for lvl, layer in enumerate(layers):
         for e in layer:
             if isinstance(e.label, VarLabel):
                 var_edges_by_rank.setdefault(pi.rank(e.label.index), []).append(e)
                 if e.dst not in const_from:
-                    const_from[e.dst] = _const_path_weights(a, layers, e.dst, lvl + 1)
+                    const_from[e.dst] = fan_out(e.dst, lvl + 1)
     steps = [var_edges_by_rank[r] for r in sorted(var_edges_by_rank)]
+    landings = [list(dict.fromkeys(e.dst for e in step_edges)) for step_edges in steps]
+    last = len(steps) + 1
+
+    # the live interval of each carry, and the nodes ferried at each step
+    first_in = {v: 1 for v, _ in const_from[a.source]}
+    last_out = {a.sink: last}
+    for i, (step_edges, dsts) in enumerate(zip(steps, landings), start=1):
+        for e in step_edges:
+            last_out[e.src] = i
+        for d in dsts:
+            for v, _ in const_from[d]:
+                first_in.setdefault(v, i + 1)
+    ferried: list[list[str]] = [[] for _ in range(last)]
+    for v in nodes:
+        if v in first_in:
+            for i in range(first_in[v], last_out.get(v, 0)):
+                ferried[i].append(v)
 
     # ":" never occurs in the step digits, so these names cannot collide
     # across distinct (kind, step, node) triples whatever the input names.
@@ -104,46 +138,35 @@ def obliviate(a: Abp, pi: Permutation | None = None) -> Abp:
 
     levels: list[list[str]] = [["src"]]
     edges: list[Edge] = []
+    touched: set[str] = set()  # nodes whose coming carry some edge touches
 
-    # source feeds the step-1 carry level with constant-only path weights
-    levels.append([carry(v, 1) for v in nodes])
-    for v in nodes:
-        w = const_from[a.source].get(v, zero)
-        if w != zero:
-            edges.append(Edge("src", carry(v, 1), ConstLabel(w)))
+    def feed(tail: str, i: int, weights: list[tuple[str, Any]]) -> None:
+        for v, w in weights:
+            if i <= last_out.get(v, 0):
+                edges.append(Edge(tail, carry(v, i), ConstLabel(w)))
+                touched.add(v)
 
-    for i, step_edges in enumerate(steps, start=1):
+    one = f.one()
+    feed("src", 1, const_from[a.source])
+    for i, (step_edges, dsts) in enumerate(zip(steps, landings), start=1):
+        touched.update(e.src for e in step_edges)
+        levels.append([carry(v, i) for v in sorted(touched, key=position.__getitem__)])
         # landing level: the step's variable edges plus ferries for the carries
-        landing_dsts: list[str] = []
-        seen_landing: set[str] = set()
-        for e in step_edges:
-            if e.dst not in seen_landing:
-                seen_landing.add(e.dst)
-                landing_dsts.append(e.dst)
-        levels.append([landing(d, i) for d in landing_dsts] + [ferry(v, i) for v in nodes])
+        levels.append([landing(d, i) for d in dsts] + [ferry(v, i) for v in ferried[i]])
         for e in step_edges:
             edges.append(Edge(carry(e.src, i), landing(e.dst, i), e.label))
-        one = f.one()
-        for v in nodes:
+        for v in ferried[i]:
             edges.append(Edge(carry(v, i), ferry(v, i), ConstLabel(one)))
         # next carry level: ferries keep their value, landings fan out along
         # constant-only paths of the original program
-        levels.append([carry(v, i + 1) for v in nodes])
-        for v in nodes:
+        touched.clear()
+        touched.update(ferried[i])
+        for v in ferried[i]:
             edges.append(Edge(ferry(v, i), carry(v, i + 1), ConstLabel(one)))
-        for w_node in landing_dsts:
-            for v in nodes:
-                cw = const_from[w_node].get(v, zero)
-                if cw != zero:
-                    edges.append(Edge(landing(w_node, i), carry(v, i + 1), ConstLabel(cw)))
-
-    # the carry after the last step of the original sink holds the full
-    # polynomial; drop the other final carries and the edges that fed them
-    last = len(steps) + 1
-    keep = carry(a.sink, last)
-    dropped = {carry(v, last) for v in nodes} - {keep}
-    levels[-1] = [keep]
-    edges = [e for e in edges if e.dst not in dropped]
+        for d in dsts:
+            feed(landing(d, i), i + 1, const_from[d])
+    # only the sink's carry lives past the last step; it holds the polynomial
+    levels.append([carry(a.sink, last)])
     return Abp(f, a.num_vars, tuple(tuple(l) for l in levels), tuple(edges), pi)
 
 

@@ -11,11 +11,13 @@ from oabp.abp import (
     VarLabel,
     _layers,
     _oblivious_report,
+    _resolved,
     prune,
     zero_abp,
 )
 from oabp.errors import StructureError
 from oabp.poly import SparsePoly, var_sort_key
+from oabp.transforms import _const_path_weights
 
 
 def renamed_reversed(a):
@@ -100,6 +102,64 @@ def infer_order_reference(a):
     for rank, i in enumerate(sequence, start=1):
         image[i - 1] = rank
     return Permutation(image)
+
+
+def obliviate_reference(a, pi=None):
+    """obliviate with the full layout: a carry and a ferry for every node at
+    every step, fan-outs scanned over every node, and the final carries
+    other than the sink's dropped at the end."""
+    layers = _layers(a)
+    pi = _resolved(a, layers, pi)
+    f = a.field
+    zero = f.zero()
+    nodes = [node for lvl in a.levels for node in lvl]
+    const_from = {a.source: _const_path_weights(a, layers, a.source, 0)}
+    var_edges_by_rank = {}
+    for lvl, layer in enumerate(layers):
+        for e in layer:
+            if isinstance(e.label, VarLabel):
+                var_edges_by_rank.setdefault(pi.rank(e.label.index), []).append(e)
+                if e.dst not in const_from:
+                    const_from[e.dst] = _const_path_weights(a, layers, e.dst, lvl + 1)
+    steps = [var_edges_by_rank[r] for r in sorted(var_edges_by_rank)]
+
+    def carry(v, i):
+        return f"c{i}:{v}"
+
+    def landing(v, i):
+        return f"w{i}:{v}"
+
+    def ferry(v, i):
+        return f"p{i}:{v}"
+
+    one = ConstLabel(f.one())
+    levels = [["src"], [carry(v, 1) for v in nodes]]
+    edges = []
+    for v in nodes:
+        w = const_from[a.source].get(v, zero)
+        if w != zero:
+            edges.append(Edge("src", carry(v, 1), ConstLabel(w)))
+    for i, step_edges in enumerate(steps, start=1):
+        landing_dsts = list(dict.fromkeys(e.dst for e in step_edges))
+        levels.append([landing(d, i) for d in landing_dsts] + [ferry(v, i) for v in nodes])
+        for e in step_edges:
+            edges.append(Edge(carry(e.src, i), landing(e.dst, i), e.label))
+        for v in nodes:
+            edges.append(Edge(carry(v, i), ferry(v, i), one))
+        levels.append([carry(v, i + 1) for v in nodes])
+        for v in nodes:
+            edges.append(Edge(ferry(v, i), carry(v, i + 1), one))
+        for w_node in landing_dsts:
+            for v in nodes:
+                cw = const_from[w_node].get(v, zero)
+                if cw != zero:
+                    edges.append(Edge(landing(w_node, i), carry(v, i + 1), ConstLabel(cw)))
+    last = len(steps) + 1
+    keep = carry(a.sink, last)
+    dropped = {carry(v, last) for v in nodes} - {keep}
+    levels[-1] = [keep]
+    edges = [e for e in edges if e.dst not in dropped]
+    return Abp(f, a.num_vars, tuple(tuple(l) for l in levels), tuple(edges), pi)
 
 
 def derivative_abp_reference(a, i):

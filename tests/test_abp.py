@@ -12,6 +12,7 @@ from oabp.abp import (
     Permutation,
     VarLabel,
     _layers,
+    _sweep,
     check_oblivious,
     check_order,
     evaluate,
@@ -374,6 +375,31 @@ def test_evaluate_over_extension():
     )
     x = (0, 1, 0)
     assert evaluate(a, (x, x)) == F8.mul(x, x)
+
+
+def test_sweep_stops_at_the_first_level_with_no_value():
+    # the transfer drops the x1 edge, so no value reaches level 2 or later
+    a = make_abp(
+        Q,
+        1,
+        [["s"], ["m"], ["n"], ["t"]],
+        [
+            ("s", "m", ConstLabel(Fraction(2))),
+            ("m", "n", VarLabel(1)),
+            ("n", "t", ConstLabel(Fraction(1))),
+        ],
+    )
+
+    def transfer(v, label):
+        return None if isinstance(label, VarLabel) else v * label.value
+
+    seen = []
+    vals = _sweep(
+        _layers(a), a.source, Fraction(1), 0, a.depth, transfer, Fraction.__add__,
+        lambda lvl, level_vals: seen.append((lvl, dict(level_vals))),
+    )
+    assert vals == {}
+    assert seen == [(1, {"m": 2}), (2, {})]
 
 
 # -- prune, lift ---------------------------------------------------------------

@@ -570,7 +570,7 @@ def test_obliviate_preserves_the_polynomial(capsys, fixtures_dir, tmp_path):
     target = tmp_path / "obl.abp.json"
     code, out, _ = run(capsys, "obliviate", fixtures_dir / "x1x2.abp.json", "-o", target)
     assert code == 0
-    assert out.startswith("oblivious program: size 16, width 4 -> ")
+    assert out.startswith("oblivious program: size 6, width 1 -> ")
     code, out, _ = run(capsys, "validate", target)
     assert (code, out) == (0, "OK\n")
     code, out, _ = run(capsys, "equal", fixtures_dir / "x1x2.abp.json", target)

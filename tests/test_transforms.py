@@ -22,9 +22,9 @@ from oabp.abp import (
     prune,
     stats,
 )
-from oabp.corpus import standard_corpus
+from oabp.corpus import cancel_pair, odd_variable_corpus, standard_corpus
 from oabp.errors import StructureError
-from oabp.families import ryser_permanent_abp
+from oabp.families import elementary_symmetric_abp, ryser_permanent_abp
 from oabp.fields import rationals
 from oabp.poly import SparsePoly
 from oabp.serialize import abp_dumps
@@ -38,6 +38,7 @@ from oabp.transforms import (
 from reference import (
     coefficient_rank,
     derivative_abp_reference,
+    obliviate_reference,
     pair_sum,
     prune_edges_reference,
     renamed_reversed,
@@ -90,6 +91,45 @@ def test_obliviate_keeps_reads_through_cancelling_constants():
     b = obliviate(a)
     assert expand(b).is_zero
     assert stats(b).reads == {1: 2, 2: 1}
+
+
+def is_subsequence(short, long):
+    rest = iter(long)
+    return all(e in rest for e in short)
+
+
+def test_obliviate_is_the_full_layout_without_dead_structure():
+    programs = [(m.name, m.abp) for m in standard_corpus() + odd_variable_corpus()]
+    programs += [(f"{name}-{name}", cancel_pair(a, "_c")) for name, a in programs]
+    programs += [
+        ("ryser_4", ryser_permanent_abp(4)),
+        ("ryser_5", ryser_permanent_abp(5)),
+        ("symm_12_4", elementary_symmetric_abp(12, 4)),
+    ]
+    for name, a in programs:
+        got, full = obliviate(a), obliviate_reference(a)
+        assert is_subsequence(got.edges, full.edges), name
+        reads = [e for e in full.edges if isinstance(e.label, VarLabel)]
+        assert [e for e in got.edges if isinstance(e.label, VarLabel)] == reads, name
+        assert abp_dumps(prune(got)) == abp_dumps(prune(full)), name
+        # equal programs, edge order included, so equal bytes
+        for i in range(1, a.num_vars + 1):
+            assert derivative_abp(got, i) == derivative_abp(full, i), (name, i)
+
+
+@pytest.mark.parametrize(
+    "a, edges",
+    [
+        (ryser_permanent_abp(4), 1289),
+        (ryser_permanent_abp(5), 5281),
+        (elementary_symmetric_abp(12, 4), 493),
+    ],
+    ids=["ryser_4", "ryser_5", "symm_12_4"],
+)
+def test_obliviate_lays_out_no_dead_structure(a, edges):
+    b = obliviate(a)
+    assert b == prune(b)
+    assert len(b.edges) == edges
 
 
 def test_obliviate_respects_explicit_order():
