@@ -24,15 +24,22 @@ those results hold no zero coefficient.  scale by a value that is not a
 field element (an int the field's operations reduce, such as 3 over F_3)
 keeps the filter.  add and mul can cancel, so they keep a zero filter: add
 checks each sum it forms, mul goes through the constructor.
+
+compose alone works on another spelling internally: monomials packed into
+ints, one bit field per seed variable, and over Q integer coefficients; its
+result is spelled as above.
 """
 
 from __future__ import annotations
 
+import math
+import operator
+from fractions import Fraction
 from functools import cache
 from typing import Any, Iterable, Mapping
 
 from .errors import BudgetError, StructureError
-from .fields import Field
+from .fields import Field, RationalField
 
 VarKey = Any  # int | str
 Mono = tuple  # tuple[tuple[VarKey, int], ...]
@@ -296,42 +303,162 @@ class SparsePoly:
     ) -> "SparsePoly":
         """Substitute a polynomial for every variable and expand.
 
-        Every variable of self must have an image.  Partial products are
-        cached on monomial prefixes, so terms sharing factors (always the
-        case for multilinear inputs) reuse work.
+        Every variable of self must have an image in self's field.  Terms of
+        self are taken in mono_sort_key order, and the partial product of
+        each monomial prefix is cached in a trie, so terms sharing factors
+        (always the case for multilinear inputs) reuse work.  A power of an
+        image, and a prefix times a power, raise BudgetError before they
+        are formed when their operands' term counts multiply past budget;
+        the running sum raises once it holds more than budget terms.
+
+        Packed keys.  Let E_v be the largest exponent of v in self and
+        b_s = sum_v E_v * deg_s(g_v) for each seed s of the images g_v.
+        Seed s owns bit_length(b_s) bits of an int key, fields laid out in
+        var_sort_key order, and a monomial with s-exponents a_s <= b_s packs
+        to sum_s a_s << o_s.  The packing is injective, since each a_s fits
+        its field, and additive, since a_s + a'_s <= b_s never carries into
+        the next field; so a monomial product is one int addition.  The
+        bound covers every product formed: the power g_v^j, j <= E_v, has
+        s-degree at most j * deg_s(g_v), and the partial product of a prefix
+        of a monomial of self, like each product of two monomials that
+        forms it, has s-degree at most the sum of e_v * deg_s(g_v) over the
+        prefix; both are at most b_s.  Keys are unpacked once, at the end.
+
+        Integer coefficients over Q.  With L_v the lcm of the denominators
+        of g_v, and D the lcm of the denominators of c_m / prod_v L_v^(e_v)
+        over the terms c_m * prod_v v^(e_v) of self,
+
+            f(g) = D^-1 * sum_m (D * c_m / prod_v L_v^(e_v)) * prod_v (L_v * g_v)^(e_v),
+
+        where every factor but D^-1 has integer coefficients.  The kernel
+        runs on ints and builds one Fraction per output term.  Each
+        intermediate is the Fraction one times a nonzero constant, so it has
+        the same terms, and every budget check sees the same counts.  Other
+        fields run the same kernel with their own add and mul.
         """
         f = self.field
-        for v in self.variables():
+        exps = self.individual_degrees()
+        for v in exps:
             if v not in images:
                 raise StructureError(f"no image for variable {v!r}")
-        power_cache: dict = {}
-        prefix_cache: dict = {(): SparsePoly.const(f, f.one())}
+        used = {v: images[v] for v in exps}
+        bound: dict = {}
+        for v, g in used.items():
+            self._check_same_field(g)
+            for s, d in g.individual_degrees().items():
+                bound[s] = bound.get(s, 0) + exps[v] * d
+        layout = []  # (seed, offset, mask) in var_sort_key order
+        offset = 0
+        for s in sorted(bound, key=var_sort_key):
+            width = bound[s].bit_length()
+            layout.append((s, offset, (1 << width) - 1))
+            offset += width
+        where = {s: o for s, o, _ in layout}
 
-        def img_power(v: VarKey, e: int) -> SparsePoly:
+        def pack(mono: Mono) -> int:
+            return sum(e << where[s] for s, e in mono)
+
+        ordered = sorted(self.terms.items(), key=lambda it: mono_sort_key(it[0]))
+        rational = isinstance(f, RationalField)
+        if rational:
+            lcm = {v: math.lcm(*(c.denominator for c in g.terms.values())) for v, g in used.items()}
+            packed = {
+                v: {pack(m): c.numerator * (lcm[v] // c.denominator) for m, c in g.terms.items()}
+                for v, g in used.items()
+            }
+            weights = [
+                Fraction(c.numerator, c.denominator * math.prod(lcm[v] ** e for v, e in m))
+                for m, c in ordered
+            ]
+            denom = math.lcm(*(w.denominator for w in weights))
+            coeffs = [w.numerator * (denom // w.denominator) for w in weights]
+            mul, add, zero, one = operator.mul, operator.add, 0, 1
+        else:
+            packed = {v: {pack(m): c for m, c in g.terms.items()} for v, g in used.items()}
+            coeffs = [c for _, c in ordered]
+            mul, add, zero, one = f.mul, f.add, f.zero(), f.one()
+
+        def product(left: dict, right: dict) -> dict:
+            if budget is not None and len(left) * len(right) > budget:
+                raise BudgetError(
+                    f"product of {len(left)} x {len(right)} terms "
+                    f"exceeds term budget {budget}"
+                )
+            acc: dict = {}
+            get = acc.get
+            pairs = list(right.items())
+            for k1, c1 in left.items():
+                for k2, c2 in pairs:
+                    k = k1 + k2
+                    c = mul(c1, c2)
+                    prev = get(k)
+                    acc[k] = c if prev is None else add(prev, c)
+            return {k: c for k, c in acc.items() if c != zero}
+
+        power_cache: dict = {}
+        prefix_cache: dict = {(): {0: one}}
+
+        def img_power(v: VarKey, e: int) -> dict:
             key = (v, e)
             got = power_cache.get(key)
             if got is None:
-                got = images[v].pow_int(e, budget=budget)
+                got = {0: one}
+                for _ in range(e):
+                    got = product(got, packed[v])
                 power_cache[key] = got
             return got
 
-        def prefix_product(mono: Mono) -> SparsePoly:
+        def prefix_product(mono: Mono) -> dict:
             got = prefix_cache.get(mono)
             if got is None:
                 head = prefix_product(mono[:-1])
                 v, e = mono[-1]
-                got = head.mul(img_power(v, e), budget=budget)
+                got = product(head, img_power(v, e))
                 prefix_cache[mono] = got
             return got
 
-        total = SparsePoly.zero(f)
-        for mono, coeff in sorted(self.terms.items(), key=lambda it: mono_sort_key(it[0])):
-            total = total.add(prefix_product(mono).scale(coeff))
-            if budget is not None and total.num_terms > budget:
-                raise BudgetError(
-                    f"composition exceeds term budget {budget}"
-                )
-        return total
+        total: dict = {}
+        get = total.get
+        for (mono, _), coeff in zip(ordered, coeffs):
+            for k, c in prefix_product(mono).items():
+                if coeff != one:
+                    c = mul(c, coeff)
+                prev = get(k)
+                if prev is None:
+                    total[k] = c
+                else:
+                    c = add(prev, c)
+                    if c == zero:  # only a sum of two terms can cancel
+                        del total[k]
+                    else:
+                        total[k] = c
+            if budget is not None and len(total) > budget:
+                raise BudgetError(f"composition exceeds term budget {budget}")
+
+        # a key unpacks as its low seeds' spelling then its high seeds'; both
+        # halves repeat across keys, so each is spelled once per value
+        cut = layout[len(layout) // 2][1] if layout else 0
+        low_mask = (1 << cut) - 1
+        low_seeds = [(s, o, mask) for s, o, mask in layout if o < cut]
+        high_seeds = [(s, o - cut, mask) for s, o, mask in layout if o >= cut]
+        low: dict = {}
+        high: dict = {}
+
+        def spell(bits: int, seeds: list, memo: dict) -> Mono:
+            got = memo[bits] = tuple((s, e) for s, o, mask in seeds if (e := bits >> o & mask))
+            return got
+
+        terms = {}
+        for k, c in total.items():
+            lo, hi = k & low_mask, k >> cut
+            head = low.get(lo)
+            if head is None:
+                head = spell(lo, low_seeds, low)
+            tail = high.get(hi)
+            if tail is None:
+                tail = spell(hi, high_seeds, high)
+            terms[head + tail] = Fraction(c, denom) if rational else c
+        return SparsePoly._from_nonzero(f, terms)
 
     # -- presentation ----------------------------------------------------------
 

@@ -12,12 +12,24 @@ from oabp.abp import (
     _layers,
     _oblivious_report,
     _resolved,
+    make_abp,
     prune,
     zero_abp,
 )
-from oabp.errors import StructureError
-from oabp.poly import SparsePoly, var_sort_key
+from oabp.errors import BudgetError, StructureError
+from oabp.poly import DEFAULT_TERM_BUDGET, SparsePoly, mono_sort_key, var_sort_key
 from oabp.transforms import _const_path_weights
+
+
+def over_prime(a, field):
+    """The same program with its integer constants reduced into F_p."""
+    edges = [
+        (e.src, e.dst, ConstLabel(field.from_int(int(e.label.value))))
+        if isinstance(e.label, ConstLabel)
+        else (e.src, e.dst, e.label)
+        for e in a.edges
+    ]
+    return make_abp(field, a.num_vars, a.levels, edges, a.order)
 
 
 def renamed_reversed(a):
@@ -265,6 +277,43 @@ def mono_mul_reference(m1, m2):
     for v, e in m2:
         merged[v] = merged.get(v, 0) + e
     return tuple(sorted(merged.items(), key=lambda it: var_sort_key(it[0])))
+
+
+def compose_reference(p, images, budget=DEFAULT_TERM_BUDGET):
+    """p with every variable replaced by its image, on SparsePoly arithmetic:
+    the partial product of each monomial prefix is cached, terms are taken in
+    mono_sort_key order, and the running sum is checked against budget after
+    each term, as SparsePoly.compose does on packed keys."""
+    f = p.field
+    for v in p.variables():
+        if v not in images:
+            raise StructureError(f"no image for variable {v!r}")
+    power_cache: dict = {}
+    prefix_cache: dict = {(): SparsePoly.const(f, f.one())}
+
+    def img_power(v, e):
+        key = (v, e)
+        got = power_cache.get(key)
+        if got is None:
+            got = images[v].pow_int(e, budget=budget)
+            power_cache[key] = got
+        return got
+
+    def prefix_product(mono):
+        got = prefix_cache.get(mono)
+        if got is None:
+            head = prefix_product(mono[:-1])
+            v, e = mono[-1]
+            got = head.mul(img_power(v, e), budget=budget)
+            prefix_cache[mono] = got
+        return got
+
+    total = SparsePoly.zero(f)
+    for mono, coeff in sorted(p.terms.items(), key=lambda it: mono_sort_key(it[0])):
+        total = total.add(prefix_product(mono).scale(coeff))
+        if budget is not None and total.num_terms > budget:
+            raise BudgetError(f"composition exceeds term budget {budget}")
+    return total
 
 
 def pair_sum(dec) -> SparsePoly:

@@ -459,6 +459,13 @@ def test_gen_build_honours_the_config_term_budget(capsys, tmp_path):
     assert err.rstrip().endswith("term budget 1000")
 
 
+def test_gen_refuses_the_level_3_read_2_build_at_the_default_budget(capsys):
+    # composing the level-2 map into the second half needs a 1263 x 835 product
+    code, out, err = run(capsys, "gen", "--k", "3", "--r", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: product of 1263 x 835 terms exceeds term budget 1000000\n"
+
+
 def test_gen_eval(capsys):
     code, out, _ = run(capsys, "gen", "--k", "1", "--r", "1", "--eval", "0,0,0,1,2")
     assert (code, out) == (0, "-1, 2\n")

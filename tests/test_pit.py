@@ -6,6 +6,7 @@ from fractions import Fraction
 from math import prod
 
 import pytest
+from reference import over_prime
 
 import oabp.abp
 import oabp.generator
@@ -325,17 +326,6 @@ def test_random_probe_zero_is_flagged_probabilistic():
     for trials in (0, -3):
         with pytest.raises(BudgetError, match="at least 1 trial"):
             random_probe(zero_oracle, 2, Q, opts=PitOptions(trials=trials))
-
-
-def over_prime(a, field):
-    """The same program with its integer constants reduced into F_p."""
-    edges = [
-        (e.src, e.dst, ConstLabel(field.from_int(int(e.label.value))))
-        if isinstance(e.label, ConstLabel)
-        else (e.src, e.dst, e.label)
-        for e in a.edges
-    ]
-    return make_abp(field, a.num_vars, a.levels, edges, a.order)
 
 
 def test_hitset_and_compose_agree_on_corpus_sample():

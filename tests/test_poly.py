@@ -5,12 +5,16 @@ import random
 from fractions import Fraction
 
 import pytest
-from reference import mono_mul_reference
+from reference import compose_reference, mono_mul_reference, over_prime
 
+import oabp.generator
+from oabp.abp import expand
+from oabp.corpus import standard_corpus
 from oabp.errors import BudgetError, StructureError
 from oabp.fields import prime_field, rationals
 from oabp.generator import GeneratorParams, build_generator
-from oabp.poly import SparsePoly, mono_mul, mono_sort_key, var_sort_key
+from oabp.pit import PitOptions, _working_program, level_for
+from oabp.poly import DEFAULT_TERM_BUDGET, SparsePoly, mono_mul, mono_sort_key, var_sort_key
 from oabp.serialize import poly_from_json
 
 Q = rationals()
@@ -180,6 +184,112 @@ def test_compose_over_prime_field():
     p = SparsePoly.variable(F, 1).mul(SparsePoly.variable(F, 2))
     images = {1: SparsePoly.const(F, 2), 2: SparsePoly.variable(F, 2)}
     assert p.compose(images) == SparsePoly.variable(F, 2).scale(2)
+
+
+def outcome(fn, *args):
+    """fn(*args), or the text of the BudgetError that refused it."""
+    try:
+        return fn(*args)
+    except BudgetError as exc:
+        return f"BudgetError: {exc}"
+
+
+def corpus_compositions(field):
+    """(name, expansion, generator images) for every standard_corpus member
+    over field, gated as compose_test gates it: F_3 lifts to an extension."""
+    for m in standard_corpus():
+        a = m.abp if field == Q else over_prime(m.abp, field)
+        prog, pi = _working_program(a, m.read_bound, PitOptions())
+        params = GeneratorParams.create(level_for(a.num_vars), m.read_bound, prog.field)
+        gen = build_generator(params)
+        yield m.name, expand(prog), {i: gen[pi.rank(i) - 1] for i in range(1, a.num_vars + 1)}
+
+
+def random_rational_case(rng):
+    """A polynomial with exponents up to 3 and rational coefficients, and
+    images over mixed seed names whose denominators differ."""
+    p = random_poly(Q, rng, nvars=4, nterms=6, max_exp=3)
+    p = SparsePoly(Q, {m: c / rng.randint(1, 12) for m, c in p.terms.items()})
+    seeds = ["z2", "z10", "u1", "v1", 5] + PADDED
+    images = {}
+    for v in p.variables():
+        terms = {}
+        for _ in range(rng.randint(0, 4)):
+            names = sorted(rng.sample(seeds, rng.randint(0, 3)), key=var_sort_key)
+            mono = tuple((s, rng.randint(1, 3)) for s in names)
+            terms[mono] = Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6, 7, 9, 10)))
+        images[v] = SparsePoly(Q, terms)
+    return p, images
+
+
+@pytest.mark.parametrize("field", [Q, prime_field(10007), prime_field(3)], ids=["Q", "F10007", "F3"])
+def test_compose_equals_the_reference_on_every_corpus_expansion(field):
+    members = lifted = 0
+    for name, f, images in corpus_compositions(field):
+        got, want = f.compose(images), compose_reference(f, images)
+        assert got == want, name
+        assert list(got.terms) == list(want.terms), name  # same insertion order too
+        members += 1
+        lifted += got.field != field
+    assert members == 205
+    assert lifted == (members if field == prime_field(3) else 0)
+
+
+@pytest.mark.parametrize("field", [Q, prime_field(10007)], ids=["Q", "F10007"])
+def test_generator_build_equals_a_build_on_the_reference(monkeypatch, field):
+    for k, r in itertools.product((1, 2), (1, 2, 3)):
+        params = GeneratorParams.create(k, r, field)
+        got = build_generator(params)
+        with monkeypatch.context() as m:
+            m.setattr(SparsePoly, "compose", compose_reference)
+            want = oabp.generator._build(k, r, field, params._basis_tables, DEFAULT_TERM_BUDGET)
+        assert got == want, (k, r)
+
+
+def test_compose_equals_the_reference_on_random_rational_images():
+    rng = random.Random(19)
+    for _ in range(150):
+        p, images = random_rational_case(rng)
+        got, want = p.compose(images), compose_reference(p, images)
+        assert got == want and list(got.terms) == list(want.terms), (p, images)
+    # one image with several denominators, raised to a power
+    half = SparsePoly(Q, {(("z1", 1),): Fraction(1, 2), (("u1", 2),): Fraction(2, 3), (): Fraction(1, 5)})
+    p = SparsePoly(Q, {((1, 3), (2, 1)): Fraction(7, 4), ((1, 1),): Fraction(-3)})
+    images = {1: half, 2: SparsePoly.variable(Q, "v1").scale(Fraction(1, 9))}
+    assert p.compose(images) == compose_reference(p, images)
+
+
+# a ladder of term budgets, from refusing the first product to none at all
+BUDGETS = (0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597, 2584, 4181, 10**6)
+
+
+def test_compose_refuses_at_the_product_the_reference_refuses_at():
+    rng = random.Random(23)
+    cases = [random_rational_case(rng) for _ in range(30)]
+    for field in (Q, prime_field(3)):
+        cases += [(f, images) for _, f, images in itertools.islice(corpus_compositions(field), 0, None, 20)]
+    # many terms of two-term products: from budget 2 on, only the running sum trips
+    line = SparsePoly(Q, {((i, 1),): Fraction(i) for i in range(1, 40)})
+    cases.append((line, {i: x("z1").pow_int(i).add(x("u1")) for i in range(1, 40)}))
+    seen = set()
+    for p, images in cases:
+        for budget in BUDGETS:
+            got = outcome(SparsePoly.compose, p, images, budget)
+            assert got == outcome(compose_reference, p, images, budget), (p, budget)
+            seen.add(got.split()[1] if isinstance(got, str) else "done")
+    assert seen == {"product", "composition", "done"}
+
+
+def test_generator_build_refuses_where_a_reference_build_refuses(monkeypatch):
+    for r in (1, 2):
+        params = GeneratorParams.create(2, r, Q)
+        build = (oabp.generator._build, 2, r, Q, params._basis_tables)
+        for budget in BUDGETS:
+            got = outcome(*build, budget)
+            with monkeypatch.context() as m:
+                m.setattr(SparsePoly, "compose", compose_reference)
+                want = outcome(*build, budget)
+            assert got == want, (r, budget)
 
 
 def test_var_sort_key_orders_ints_before_seed_names():
