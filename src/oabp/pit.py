@@ -74,7 +74,7 @@ from .generator import (
     points_needed,
     seed_degree_bounds,
 )
-from .poly import DEFAULT_TERM_BUDGET, mono_sort_key
+from .poly import DEFAULT_TERM_BUDGET
 from .transforms import obliviate  # noqa: F401 - a lookup site the benchmark tracer wraps
 
 DEFAULT_GRID_BUDGET = 10**7
@@ -233,8 +233,11 @@ def compose_test(a: Abp, r: int, opts: PitOptions | None = None) -> PitVerdict:
     """Exact reference test: is the generator composition the zero polynomial?
 
     Runs the full pipeline: pass the promise gate (validity, order, read
-    bound, working field), expand the gated program exactly, compose it
-    with the generator components by rank, and inspect the result.
+    bound, working field), expand the gated program exactly, and compose it
+    with the generator components by rank.  The verdict is whether the
+    composition is zero; a NONZERO witness is its least monomial in graded
+    order (SparsePoly.least_monomial).  Both are read off compose's packed
+    keys, so the composition's terms are never spelled out.
     opts.term_budget bounds the expansion, every composition of the build,
     and the substitution.
     """
@@ -252,8 +255,8 @@ def compose_test(a: Abp, r: int, opts: PitOptions | None = None) -> PitVerdict:
     composition = f.compose(images, budget=opts.term_budget)
     if composition.is_zero:
         return PitVerdict("ZERO", "compose", note=note, field=prog.field)
-    witness_mono = min(composition.terms, key=mono_sort_key)
-    return PitVerdict("NONZERO", "compose", witness=witness_mono, note=note, field=prog.field)
+    witness = composition.least_monomial()
+    return PitVerdict("NONZERO", "compose", witness=witness, note=note, field=prog.field)
 
 
 def random_probe(

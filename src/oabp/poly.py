@@ -25,9 +25,11 @@ field element (an int the field's operations reduce, such as 3 over F_3)
 keeps the filter.  add and mul can cancel, so they keep a zero filter: add
 checks each sum it forms, mul goes through the constructor.
 
-compose alone works on another spelling internally: monomials packed into
-ints, one bit field per seed variable, and over Q integer coefficients; its
-result is spelled as above.
+compose alone works on another spelling: monomials packed into ints, one bit
+field per seed variable under a field for the total degree, and over Q
+integer coefficients.  Its result holds those packed keys and answers
+is_zero, num_terms and least_monomial from them; its terms are spelled as
+above the first time they are read, and only then.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import math
 import operator
 from fractions import Fraction
 from functools import cache
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 from .errors import BudgetError, StructureError
 from .fields import Field, RationalField
@@ -322,7 +324,23 @@ class SparsePoly:
         s-degree at most j * deg_s(g_v), and the partial product of a prefix
         of a monomial of self, like each product of two monomials that
         forms it, has s-degree at most the sum of e_v * deg_s(g_v) over the
-        prefix; both are at most b_s.  Keys are unpacked once, at the end.
+        prefix; both are at most b_s.
+
+        Degree field.  Above the seed fields, from bit o_top on, the key
+        holds the monomial's total degree.  Degree adds under
+        multiplication, and a product formed has total degree at most
+        sum_v E_v * deg(g_v), by the argument above with deg for deg_s; so
+        the field takes at most bit_length of that sum, and nothing lies
+        above it for a sum to carry into.  The packing stays injective and
+        additive.  Keys compare as ints, top field first, so the least key
+        of the result has the least total degree in its top field: the
+        monomials of that degree are the keys below (d + 1) << o_top.
+
+        Lazy result.  compose returns its sum on packed keys.  is_zero,
+        num_terms and least_monomial read the keys and spell nothing; the
+        first read of terms spells every key, in the order the sum first
+        formed it, and drops the packed keys.  Like every SparsePoly the
+        result is immutable, so its terms are spelled once.
 
         Integer coefficients over Q.  With L_v the lcm of the denominators
         of g_v, and D the lcm of the denominators of c_m / prod_v L_v^(e_v)
@@ -331,7 +349,7 @@ class SparsePoly:
             f(g) = D^-1 * sum_m (D * c_m / prod_v L_v^(e_v)) * prod_v (L_v * g_v)^(e_v),
 
         where every factor but D^-1 has integer coefficients.  The kernel
-        runs on ints and builds one Fraction per output term.  Each
+        runs on ints, and spelling builds one Fraction per term.  Each
         intermediate is the Fraction one times a nonzero constant, so it has
         the same terms, and every budget check sees the same counts.  Other
         fields run the same kernel with their own add and mul.
@@ -348,15 +366,15 @@ class SparsePoly:
             for s, d in g.individual_degrees().items():
                 bound[s] = bound.get(s, 0) + exps[v] * d
         layout = []  # (seed, offset, mask) in var_sort_key order
-        offset = 0
+        top = 0
         for s in sorted(bound, key=var_sort_key):
             width = bound[s].bit_length()
-            layout.append((s, offset, (1 << width) - 1))
-            offset += width
+            layout.append((s, top, (1 << width) - 1))
+            top += width
         where = {s: o for s, o, _ in layout}
 
         def pack(mono: Mono) -> int:
-            return sum(e << where[s] for s, e in mono)
+            return sum(e << where[s] for s, e in mono) + (mono_degree(mono) << top)
 
         ordered = sorted(self.terms.items(), key=lambda it: mono_sort_key(it[0]))
         rational = isinstance(f, RationalField)
@@ -435,35 +453,16 @@ class SparsePoly:
             if budget is not None and len(total) > budget:
                 raise BudgetError(f"composition exceeds term budget {budget}")
 
-        # a key unpacks as its low seeds' spelling then its high seeds'; both
-        # halves repeat across keys, so each is spelled once per value
-        cut = layout[len(layout) // 2][1] if layout else 0
-        low_mask = (1 << cut) - 1
-        low_seeds = [(s, o, mask) for s, o, mask in layout if o < cut]
-        high_seeds = [(s, o - cut, mask) for s, o, mask in layout if o >= cut]
-        low: dict = {}
-        high: dict = {}
-
-        def spell(bits: int, seeds: list, memo: dict) -> Mono:
-            got = memo[bits] = tuple((s, e) for s, o, mask in seeds if (e := bits >> o & mask))
-            return got
-
-        terms = {}
-        for k, c in total.items():
-            lo, hi = k & low_mask, k >> cut
-            head = low.get(lo)
-            if head is None:
-                head = spell(lo, low_seeds, low)
-            tail = high.get(hi)
-            if tail is None:
-                tail = spell(hi, high_seeds, high)
-            terms[head + tail] = Fraction(c, denom) if rational else c
-        return SparsePoly._from_nonzero(f, terms)
+        return _PackedPoly(f, total, layout, top, denom if rational else None)
 
     # -- presentation ----------------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[Mono, Any]]:
         return sorted(self.terms.items(), key=lambda it: mono_sort_key(it[0]))
+
+    def least_monomial(self) -> Mono:
+        """The least monomial under mono_sort_key; ValueError when zero."""
+        return min(self.terms, key=mono_sort_key)
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -489,3 +488,77 @@ class SparsePoly:
     def _check_same_field(self, other: "SparsePoly") -> None:
         if self.field != other.field:
             raise StructureError("mixed fields in polynomial arithmetic")
+
+
+class _PackedPoly(SparsePoly):
+    """The result of compose, held on its packed keys until terms is read.
+
+    _packed maps each key to its coefficient, over Q the numerator over the
+    common denominator _denom (None on other fields); _layout lists compose's
+    (seed, offset, mask) fields and _top is the offset of the degree field.
+    Reading terms spells the keys once and drops _packed.
+    """
+
+    __slots__ = ("_packed", "_layout", "_top", "_denom", "_spelled")
+
+    def __init__(self, field: Field, packed: dict, layout: list, top: int, denom: int | None):
+        self.field = field
+        self._packed = packed
+        self._layout = layout
+        self._top = top
+        self._denom = denom
+        self._spelled = None
+
+    @property
+    def terms(self) -> dict:
+        if self._spelled is None:
+            self._spelled = self._spell()
+            self._packed = None
+        return self._spelled
+
+    @property
+    def is_zero(self) -> bool:
+        return not (self._spelled if self._packed is None else self._packed)
+
+    @property
+    def num_terms(self) -> int:
+        return len(self._spelled if self._packed is None else self._packed)
+
+    def least_monomial(self) -> Mono:
+        packed = self._packed
+        if packed is None:
+            return super().least_monomial()
+        top = self._top
+        above = ((min(packed) >> top) + 1) << top  # keys of the least degree lie below
+        return min(self._monos([k for k in packed if k < above]), key=mono_sort_key)
+
+    def _spell(self) -> dict:
+        packed, denom = self._packed, self._denom
+        coeffs = packed.values() if denom is None else (Fraction(c, denom) for c in packed.values())
+        return dict(zip(self._monos(packed), coeffs))
+
+    def _monos(self, keys: Iterable[int]) -> Iterator[Mono]:
+        """The spelling of each key, in order."""
+        # a key unpacks as its low seeds' spelling then its high seeds'; both
+        # halves repeat across keys, so each is spelled once per value
+        layout = self._layout
+        cut = layout[len(layout) // 2][1] if layout else 0
+        low_mask = (1 << cut) - 1
+        low_seeds = [(s, o, mask) for s, o, mask in layout if o < cut]
+        high_seeds = [(s, o - cut, mask) for s, o, mask in layout if o >= cut]
+        low: dict = {}
+        high: dict = {}
+
+        def spell(bits: int, seeds: list, memo: dict) -> Mono:
+            got = memo[bits] = tuple((s, e) for s, o, mask in seeds if (e := bits >> o & mask))
+            return got
+
+        for k in keys:
+            lo, hi = k & low_mask, k >> cut  # hi keeps the degree field; spell ignores it
+            head = low.get(lo)
+            if head is None:
+                head = spell(lo, low_seeds, low)
+            tail = high.get(hi)
+            if tail is None:
+                tail = spell(hi, high_seeds, high)
+            yield head + tail

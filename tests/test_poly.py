@@ -222,11 +222,24 @@ def random_rational_case(rng):
     return p, images
 
 
+def check_unspelled_reads(got, want):
+    """is_zero, num_terms and least_monomial of a composition, read before
+    its terms are, against the reference composition want."""
+    assert got.is_zero == want.is_zero
+    assert got.num_terms == want.num_terms
+    if want.is_zero:
+        with pytest.raises(ValueError):
+            got.least_monomial()
+    else:
+        assert got.least_monomial() == min(want.terms, key=mono_sort_key)
+
+
 @pytest.mark.parametrize("field", [Q, prime_field(10007), prime_field(3)], ids=["Q", "F10007", "F3"])
 def test_compose_equals_the_reference_on_every_corpus_expansion(field):
     members = lifted = 0
     for name, f, images in corpus_compositions(field):
         got, want = f.compose(images), compose_reference(f, images)
+        check_unspelled_reads(got, want)
         assert got == want, name
         assert list(got.terms) == list(want.terms), name  # same insertion order too
         members += 1
@@ -251,12 +264,36 @@ def test_compose_equals_the_reference_on_random_rational_images():
     for _ in range(150):
         p, images = random_rational_case(rng)
         got, want = p.compose(images), compose_reference(p, images)
+        check_unspelled_reads(got, want)
         assert got == want and list(got.terms) == list(want.terms), (p, images)
     # one image with several denominators, raised to a power
     half = SparsePoly(Q, {(("z1", 1),): Fraction(1, 2), (("u1", 2),): Fraction(2, 3), (): Fraction(1, 5)})
     p = SparsePoly(Q, {((1, 3), (2, 1)): Fraction(7, 4), ((1, 1),): Fraction(-3)})
     images = {1: half, 2: SparsePoly.variable(Q, "v1").scale(Fraction(1, 9))}
     assert p.compose(images) == compose_reference(p, images)
+
+
+def test_least_monomial_breaks_degree_ties_by_variables_not_by_packed_keys():
+    # every term has degree 2; z1*u1 is least, though its packed key, which
+    # sets the u1 field above every z field, exceeds that of z2^2
+    p = x(1).add(x(2)).add(x(3))
+    images = {1: x("z2").pow_int(2), 2: x("z1").mul(x("u1")), 3: x("z2").mul(x("v1"))}
+    got, want = p.compose(images), compose_reference(p, images)
+    check_unspelled_reads(got, want)
+    assert got.least_monomial() == (("z1", 1), ("u1", 1))
+    assert got == want and list(got.terms) == list(want.terms)
+    assert got.least_monomial() == (("z1", 1), ("u1", 1))  # and once spelled
+
+
+def test_a_composition_to_zero_has_no_least_monomial():
+    p = x(1).sub(x(2))
+    images = {1: x("z1").add(x("u1")), 2: x("u1").add(x("z1"))}
+    got, want = p.compose(images), compose_reference(p, images)
+    check_unspelled_reads(got, want)
+    assert got.is_zero and got == want
+    for zero in (got, SparsePoly.zero(Q)):  # spelled and plain alike
+        with pytest.raises(ValueError):
+            zero.least_monomial()
 
 
 # a ladder of term budgets, from refusing the first product to none at all

@@ -10,6 +10,8 @@ import importlib
 import importlib.util
 import pathlib
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SPANS = ROOT / "bench" / "spans.py"
 
@@ -43,3 +45,47 @@ def test_every_tracer_only_import_is_a_traced_site():
                 assert (module, name) in sites, (module, name)
                 found += 1
     assert found
+
+
+def test_the_traced_compose_span_spells_no_composition(monkeypatch):
+    """The tracer reads num_terms off every poly.compose result, so reading it
+    must not spell the terms that compose_test never spells."""
+    from oabp.abp import expand, resolve_order
+    from oabp.corpus import standard_corpus
+    from oabp.generator import GeneratorParams, build_generator
+    from oabp.pit import level_for
+    from oabp.poly import SparsePoly, _PackedPoly, mono_degree, mono_sort_key
+    from reference import compose_reference
+
+    spans = load_spans()
+    m = next(m for m in standard_corpus() if m.name == "ryser_2")
+    a, n = m.abp, m.abp.num_vars
+    pi = resolve_order(a)
+    gen = build_generator(GeneratorParams.create(level_for(n), m.read_bound, a.field))
+    images = {i: SparsePoly(a.field, gen[pi.rank(i) - 1].terms) for i in range(1, n + 1)}
+    f = expand(a)
+
+    def refuse(self):
+        raise AssertionError("composition spelled")
+
+    spelled = []
+    monos = _PackedPoly._monos
+
+    def counted(self, keys):
+        spelled.extend(keys)
+        return monos(self, keys)
+
+    monkeypatch.setattr(_PackedPoly, "_spell", refuse)
+    monkeypatch.setattr(_PackedPoly, "_monos", counted)
+    tracer = spans.Tracer()
+    with tracer.installed():
+        out = f.compose(images)
+    assert tracer.summary()["poly.compose"]["terms_out"] == out.num_terms > 1
+    assert not out.is_zero
+    want = compose_reference(f, images)
+    assert out.least_monomial() == min(want.terms, key=mono_sort_key)
+    # the witness spells only the keys of the least total degree
+    least = min(map(mono_degree, want.terms))
+    assert len(spelled) == sum(mono_degree(mono) == least for mono in want.terms) < out.num_terms
+    with pytest.raises(AssertionError, match="spelled"):
+        out.terms
