@@ -378,18 +378,19 @@ def _inferred(a: Abp, layers: list[list[Edge]]) -> Permutation | None:
     return Permutation.from_sequence(sequence)
 
 
-def resolve_order(a: Abp, pi: Permutation | None = None) -> Permutation:
+def resolve_order(a: Abp) -> Permutation:
     """The order a verdict may rely on, checked against the program.
 
-    Takes pi, else the declared order, else an inferred one, and raises
+    Takes the declared order, else an inferred one, and raises
     StructureError when there is none or the program does not respect it.
     """
-    return _resolved(a, _layers(a), pi)
+    return _resolved(a, _layers(a), None)
 
 
 def _resolved(a: Abp, layers: list[list[Edge]], pi: Permutation | None) -> Permutation:
-    """resolve_order on a grouping _layers already made: one order check,
-    whether pi was passed, declared or inferred."""
+    """resolve_order on a grouping _layers already made, taking pi when the
+    caller passes one: one order check, whether pi was passed, declared or
+    inferred."""
     if pi is None:
         pi = a.order if a.order is not None else _inferred(a, layers)
     if pi is None:
@@ -506,11 +507,10 @@ def _pruned(a: Abp, layers: list[list[Edge]], edges: Iterable[Edge]) -> Abp:
     keep = fwd & bwd
     if a.source not in keep or a.sink not in keep:
         return zero_abp(a.field, a.num_vars, a.order)
+    # a source-to-sink path crosses every level, so no kept level is empty
     new_levels = tuple(
         tuple(node for node in lvl if node in keep) for lvl in a.levels
     )
-    if any(not lvl for lvl in new_levels):
-        return zero_abp(a.field, a.num_vars, a.order)
     new_edges = tuple(e for e in edges if e.src in keep and e.dst in keep)
     return Abp(a.field, a.num_vars, new_levels, new_edges, a.order)
 

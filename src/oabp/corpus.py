@@ -18,6 +18,7 @@ from .abp import (
     Permutation,
     VarLabel,
     check_order,
+    expand,
     prune,
     stats,
     validate,
@@ -167,8 +168,6 @@ def standard_corpus(seed: int = DEFAULT_CORPUS_SEED) -> list[CorpusMember]:
             )
         )
     # settle unknown zero flags by exact expansion
-    from .abp import expand
-
     settled = []
     for m in out:
         zero = m.zero if m.zero is not None else expand(m.abp).is_zero
@@ -176,10 +175,11 @@ def standard_corpus(seed: int = DEFAULT_CORPUS_SEED) -> list[CorpusMember]:
     return settled
 
 
-def odd_variable_corpus(seed: int = DEFAULT_CORPUS_SEED) -> list[CorpusMember]:
-    """Members with an odd variable count, for middle-split rank checks."""
+def odd_variable_corpus() -> list[CorpusMember]:
+    """Members with an odd variable count, for middle-split rank checks; the
+    random members draw from DEFAULT_CORPUS_SEED + 1."""
     field = rationals()
-    rng = random.Random(seed + 1)
+    rng = random.Random(DEFAULT_CORPUS_SEED + 1)
     out: list[CorpusMember] = []
     for n, k in ((3, 2), (5, 2), (5, 3), (7, 4)):
         a = elementary_symmetric_abp(n, k)
@@ -193,8 +193,6 @@ def odd_variable_corpus(seed: int = DEFAULT_CORPUS_SEED) -> list[CorpusMember]:
         for t in range(6):
             a = random_ordered_abp(field, n, 2, rng)
             out.append(CorpusMember(f"rand_odd_n{n}_{t}", a, 2, False))
-    from .abp import expand
-
     return [
         CorpusMember(m.name, m.abp, m.read_bound, expand(m.abp).is_zero) for m in out
     ]

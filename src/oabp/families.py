@@ -32,7 +32,7 @@ from .abp import (
     prune,
 )
 from .errors import BudgetError, StructureError
-from .fields import Field, prime_field
+from .fields import Field, prime_field, rationals
 from .linalg import matrix_rank
 from .poly import SparsePoly
 
@@ -137,7 +137,7 @@ def elementary_symmetric_abp(n: int, k: int, field: Field | None = None) -> Abp:
     if not 1 <= k <= n:
         raise StructureError(f"need 1 <= k <= n, got k={k}, n={n}")
     if field is None:
-        field = _default_family_field()
+        field = rationals()
 
     def node(i: int, j: int) -> str:
         return f"r{i}c{j}"
@@ -202,7 +202,7 @@ def ryser_permanent_abp(n: int, field: Field | None = None) -> Abp:
     if n > SUBSET_CAP:
         raise BudgetError(f"permanent program for n={n} has {2**n} branches, cap is n={SUBSET_CAP}")
     if field is None:
-        field = _default_family_field()
+        field = rationals()
     one = field.one()
     num_vars = n * n
     subsets = list(itertools.chain.from_iterable(
@@ -304,7 +304,7 @@ def order_separation_family(n: int, field: Field | None = None) -> OrderSeparati
     if n < 1:
         raise StructureError(f"need n >= 1, got {n}")
     if field is None:
-        field = _default_family_field()
+        field = rationals()
     one = field.one()
     m = 2 * n + 1
     levels: list[list[str]] = [["s"], ["h0"]]
@@ -435,16 +435,18 @@ class FullRankReport:
         return bool(self.attempts) and self.attempts[-1].ok
 
 
-def verify_full_rank(n: int, seed: int = 0, weights_for_seed=None) -> FullRankReport:
+def verify_full_rank(n: int, weights_for_seed=None) -> FullRankReport:
     """Check that every middle-style split of the weighted interval family
     gives a full-rank matrix.
 
     For m = 2n+1 variables: every derivative variable x_d and every way of
     choosing which n of the remaining 2n variables sit on the y-side must
     yield rank 2^n.  Only the set-split matters: reordering within a side
-    permutes rows or columns.  Deficient attempts (possible for unlucky
-    weights) retry with the next seed, FULL_RANK_ATTEMPTS seeds in all; a
-    final deficient attempt raises.
+    permutes rows or columns.  Attempt j takes the weights
+    weights_for_seed(j), by default seeded_weights with seed j; a deficient
+    attempt (possible for unlucky weights) retries with the next seed,
+    seeds 0 .. FULL_RANK_ATTEMPTS - 1 in all, and a final deficient attempt
+    raises.
     """
     if n < 1:
         raise StructureError(f"need n >= 1, got {n}")
@@ -457,8 +459,7 @@ def verify_full_rank(n: int, seed: int = 0, weights_for_seed=None) -> FullRankRe
     expected = 1 << n
     report = FullRankReport(n, DEFAULT_WEIGHT_PRIME, [])
     for attempt in range(FULL_RANK_ATTEMPTS):
-        use_seed = seed + attempt
-        f = full_rank_poly(field, 1, m, weights_for_seed(use_seed))
+        f = full_rank_poly(field, 1, m, weights_for_seed(attempt))
         checks: list[SplitCheck] = []
         for d in range(1, m + 1):
             deriv = f.derivative(d)
@@ -468,7 +469,7 @@ def verify_full_rank(n: int, seed: int = 0, weights_for_seed=None) -> FullRankRe
                 split = VarSplit(tuple(ys), zs, excluded=d)
                 rank = matrix_rank(field, deriv_matrix(deriv, split))
                 checks.append(SplitCheck(d, tuple(ys), rank, expected))
-        report.attempts.append(FullRankAttempt(use_seed, checks))
+        report.attempts.append(FullRankAttempt(attempt, checks))
         if report.attempts[-1].ok:
             return report
     bad = report.attempts[-1].deficient()
@@ -477,9 +478,3 @@ def verify_full_rank(n: int, seed: int = 0, weights_for_seed=None) -> FullRankRe
         f"{len(bad)} deficient splits in the last one (first: "
         f"d={bad[0].derivative_var}, y={bad[0].y_vars}, rank {bad[0].rank} < {bad[0].expected})"
     )
-
-
-def _default_family_field() -> Field:
-    from .fields import rationals
-
-    return rationals()

@@ -102,15 +102,13 @@ def _pmod(a: list[int], m: list[int], p: int) -> list[int]:
 
 
 def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """gcd of a and b, monic when a is: the last divisor, made monic, or a."""
     a, b = list(a), list(b)
     while b:
         if b[-1] != 1:  # make divisor monic before reducing
             inv = pow(b[-1], p - 2, p)
             b = [(c * inv) % p for c in b]
         a, b = b, _pmod(a, b, p)
-    if a and a[-1] != 1:
-        inv = pow(a[-1], p - 2, p)
-        a = [(c * inv) % p for c in a]
     return a
 
 
@@ -152,14 +150,16 @@ def is_irreducible(coeffs: tuple[int, ...] | list[int], p: int) -> bool:
     return True
 
 
-def find_irreducible(p: int, d: int, budget: int = DEFAULT_SEARCH_BUDGET) -> tuple[int, ...]:
+def find_irreducible(p: int, d: int) -> tuple[int, ...]:
     """Smallest monic irreducible of degree d over F_p.
 
     Candidates x^d + c_{d-1} x^{d-1} + ... + c_0 are tried in lexicographic
     order of (c_{d-1}, ..., c_1, c_0), i.e. counting order of the lower
     coefficients.  Returns the full coefficient vector, constant term first,
-    length d + 1.
+    length d + 1.  BudgetError when the p^d candidates exceed
+    DEFAULT_SEARCH_BUDGET.
     """
+    budget = DEFAULT_SEARCH_BUDGET
     if not is_prime(p):
         raise FieldError(f"p = {p} is not prime")
     if d < 1:
@@ -359,9 +359,6 @@ class RationalField(Field):
 
     def from_int(self, n: int):
         return Fraction(n)
-
-    def size(self) -> int | None:
-        return None
 
     def element_at(self, j: int):
         return Fraction(j)

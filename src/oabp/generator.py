@@ -241,11 +241,11 @@ def seed_degree_bounds(k: int, r: int, n: int) -> tuple[int, ...]:
     """Bound d_s on deg_s(f o G_k) for every multilinear f in n <= 2^k
     variables, in seed_names(k, r) order: the sum of the per-seed bounds of
     _slot_degrees over the first n output slots, the ones that feed
-    variables.  Does not depend on the field (cancellation only lowers a
-    degree); cached per (k, r, n).
+    variables, so every bound is 0 when n = 0.  Does not depend on the field
+    (cancellation only lowers a degree); cached per (k, r, n).
     """
-    if not 1 <= n <= 2**k:
-        raise StructureError(f"level {k} feeds 1..{2**k} variables, got {n}")
+    if not 0 <= n <= 2**k:
+        raise StructureError(f"level {k} feeds 0..{2**k} variables, got {n}")
     slots = _slot_degrees(k, r)[:n]
     return tuple(
         sum(degs.get(name, 0) for degs, _ in slots) for name in seed_names(k, r)

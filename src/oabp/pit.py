@@ -102,10 +102,11 @@ class PitVerdict:
 
 
 def level_for(n: int) -> int:
-    """Smallest k with n <= 2^k."""
-    if n < 1:
-        raise StructureError(f"need at least one variable, got {n}")
-    return (n - 1).bit_length()
+    """Smallest k >= 0 with n <= 2^k: 0 for a program over no variables,
+    whose level-0 map feeds no slot."""
+    if n < 0:
+        raise StructureError(f"need a variable count of at least 0, got {n}")
+    return max(n - 1, 0).bit_length()
 
 
 def ensure_field(field: Field, needed: int) -> Field:

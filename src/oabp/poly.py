@@ -27,9 +27,9 @@ checks each sum it forms, mul goes through the constructor.
 
 compose alone works on another spelling: monomials packed into ints, one bit
 field per seed variable under a field for the total degree, and over Q
-integer coefficients.  Its result holds those packed keys and answers
-is_zero, num_terms and least_monomial from them; its terms are spelled as
-above the first time they are read, and only then.
+integer coefficients.  Its result keeps those packed keys and answers
+is_zero, num_terms and least_monomial from them; the first read of its
+terms spells every key once, as above, and caches the spelling.
 """
 
 from __future__ import annotations
@@ -291,10 +291,7 @@ class SparsePoly:
                         m = mono[:idx] + mono[idx + 1:]
                     else:
                         m = mono[:idx] + ((w, e - 1),) + mono[idx + 1:]
-                    if m in acc:
-                        acc[m] = f.add(acc[m], c)
-                    else:
-                        acc[m] = c
+                    acc[m] = c
                     break
         return SparsePoly(f, acc)
 
@@ -336,11 +333,11 @@ class SparsePoly:
         of the result has the least total degree in its top field: the
         monomials of that degree are the keys below (d + 1) << o_top.
 
-        Lazy result.  compose returns its sum on packed keys.  is_zero,
-        num_terms and least_monomial read the keys and spell nothing; the
-        first read of terms spells every key, in the order the sum first
-        formed it, and drops the packed keys.  Like every SparsePoly the
-        result is immutable, so its terms are spelled once.
+        Lazy result.  compose returns its sum on packed keys, and keeps
+        them.  is_zero, num_terms and least_monomial read the keys and spell
+        nothing; the first read of terms spells every key, in the order the
+        sum first formed it, and caches the spelling.  Like every SparsePoly
+        the result is immutable, so its terms are spelled once.
 
         Integer coefficients over Q.  With L_v the lcm of the denominators
         of g_v, and D the lcm of the denominators of c_m / prod_v L_v^(e_v)
@@ -491,12 +488,12 @@ class SparsePoly:
 
 
 class _PackedPoly(SparsePoly):
-    """The result of compose, held on its packed keys until terms is read.
+    """The result of compose, held on its packed keys.
 
     _packed maps each key to its coefficient, over Q the numerator over the
     common denominator _denom (None on other fields); _layout lists compose's
     (seed, offset, mask) fields and _top is the offset of the degree field.
-    Reading terms spells the keys once and drops _packed.
+    The first read of terms spells every key once and caches the spelling.
     """
 
     __slots__ = ("_packed", "_layout", "_top", "_denom", "_spelled")
@@ -512,53 +509,26 @@ class _PackedPoly(SparsePoly):
     @property
     def terms(self) -> dict:
         if self._spelled is None:
-            self._spelled = self._spell()
-            self._packed = None
+            packed, denom = self._packed, self._denom
+            coeffs = packed.values() if denom is None else (Fraction(c, denom) for c in packed.values())
+            self._spelled = dict(zip(self._monos(packed), coeffs))
         return self._spelled
 
     @property
     def is_zero(self) -> bool:
-        return not (self._spelled if self._packed is None else self._packed)
+        return not self._packed
 
     @property
     def num_terms(self) -> int:
-        return len(self._spelled if self._packed is None else self._packed)
+        return len(self._packed)
 
     def least_monomial(self) -> Mono:
-        packed = self._packed
-        if packed is None:
-            return super().least_monomial()
-        top = self._top
+        packed, top = self._packed, self._top
         above = ((min(packed) >> top) + 1) << top  # keys of the least degree lie below
         return min(self._monos([k for k in packed if k < above]), key=mono_sort_key)
 
-    def _spell(self) -> dict:
-        packed, denom = self._packed, self._denom
-        coeffs = packed.values() if denom is None else (Fraction(c, denom) for c in packed.values())
-        return dict(zip(self._monos(packed), coeffs))
-
     def _monos(self, keys: Iterable[int]) -> Iterator[Mono]:
-        """The spelling of each key, in order."""
-        # a key unpacks as its low seeds' spelling then its high seeds'; both
-        # halves repeat across keys, so each is spelled once per value
+        """The spelling of each key, in order; the degree field is not read."""
         layout = self._layout
-        cut = layout[len(layout) // 2][1] if layout else 0
-        low_mask = (1 << cut) - 1
-        low_seeds = [(s, o, mask) for s, o, mask in layout if o < cut]
-        high_seeds = [(s, o - cut, mask) for s, o, mask in layout if o >= cut]
-        low: dict = {}
-        high: dict = {}
-
-        def spell(bits: int, seeds: list, memo: dict) -> Mono:
-            got = memo[bits] = tuple((s, e) for s, o, mask in seeds if (e := bits >> o & mask))
-            return got
-
         for k in keys:
-            lo, hi = k & low_mask, k >> cut  # hi keeps the degree field; spell ignores it
-            head = low.get(lo)
-            if head is None:
-                head = spell(lo, low_seeds, low)
-            tail = high.get(hi)
-            if tail is None:
-                tail = spell(hi, high_seeds, high)
-            yield head + tail
+            yield tuple((s, e) for s, o, mask in layout if (e := k >> o & mask))

@@ -275,7 +275,7 @@ def test_c11_full_rank_weight_sweep():
     with criterion("C11 full-rank weight sweep", budget=120.0) as info:
         checks = 0
         for n in (1, 2, 3):
-            report = verify_full_rank(n, seed=0)
+            report = verify_full_rank(n)
             assert report.ok, n
             assert len(report.attempts) == 1, n
             for c in report.attempts[0].checks:
@@ -286,7 +286,6 @@ def test_c11_full_rank_weight_sweep():
         zero_table = {key: field.zero() for key in seeded_weights(field, 3, 0)}
         hooked = verify_full_rank(
             1,
-            seed=0,
             weights_for_seed=lambda s: zero_table if s == 0 else seeded_weights(field, 3, s),
         )
         assert hooked.ok

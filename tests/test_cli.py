@@ -284,6 +284,18 @@ def test_pit_zero_program(capsys, fixtures_dir):
     assert code == 2
 
 
+@pytest.mark.parametrize("mode", ["hitset", "compose", "random"])
+def test_pit_answers_a_program_over_no_variables(capsys, tmp_path, mode):
+    const = tmp_path / "c0.abp.json"
+    const.write_text(json.dumps({
+        **PROGRAM_HEAD, "num_vars": 0, "edges": [{"from": "s", "to": "t", "label": {"const": 3}}],
+    }))
+    code, out, err = run(capsys, "--json", "pit", const, "--read", "1", "--mode", mode)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert (payload["verdict"], payload["witness"]) == ("NONZERO", [])
+
+
 def test_validate_and_pit_spell_a_refused_order_alike(capsys, tmp_path):
     # the path reads x1, x2, x3; the declared image list [2, 3, 1] ranks x3
     # first, so its variable sequence is [3, 1, 2]

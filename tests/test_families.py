@@ -269,7 +269,7 @@ def test_seeded_weights_reproducible():
 
 def test_verify_full_rank_small():
     for n, num_checks in ((1, 6), (2, 30)):
-        report = verify_full_rank(n, seed=0)
+        report = verify_full_rank(n)
         assert report.ok
         assert report.p == DEFAULT_WEIGHT_PRIME
         assert len(report.attempts) == 1
@@ -285,7 +285,7 @@ def test_verify_full_rank_retry_then_success():
     def hook(s):
         return zero_table if s == 0 else seeded_weights(field, m, s)
 
-    report = verify_full_rank(1, seed=0, weights_for_seed=hook)
+    report = verify_full_rank(1, weights_for_seed=hook)
     assert report.ok
     assert len(report.attempts) == 2
     assert not report.attempts[0].ok

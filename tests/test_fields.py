@@ -154,9 +154,10 @@ def test_find_irreducible_budget():
     # 3^100000 has over 4300 digits, past what Python converts to text
     with pytest.raises(BudgetError, match=r"3\^100000 candidates"):
         find_irreducible(3, 100000)
-    assert find_irreducible(2, 5, budget=32) == (1, 0, 1, 0, 0, 1)
-    with pytest.raises(BudgetError):
-        find_irreducible(2, 5, budget=31)
+    # 2^20 candidates is the budget itself, searched; 2^21 is past it
+    assert find_irreducible(2, 20) == (1, 0, 0, 1) + (0,) * 16 + (1,)  # x^20 + x^3 + 1
+    with pytest.raises(BudgetError, match=r"2\^21 candidates exceeds budget 1048576"):
+        find_irreducible(2, 21)
 
 
 def test_extension_field_f9_table():

@@ -78,9 +78,9 @@ def doubled_x1x2(field):
 
 
 def test_level_for():
-    assert [level_for(n) for n in (1, 2, 3, 4, 5, 8, 9)] == [0, 1, 2, 2, 3, 3, 4]
+    assert [level_for(n) for n in (0, 1, 2, 3, 4, 5, 8, 9)] == [0, 0, 1, 2, 2, 3, 3, 4]
     with pytest.raises(StructureError):
-        level_for(0)
+        level_for(-1)
 
 
 def test_seed_grid_size_default_and_component_bound():
@@ -250,6 +250,18 @@ def test_compose_expands_the_gated_program_without_obliviating(monkeypatch):
 def test_compose_zero():
     member = next(m for m in standard_corpus() if m.zero)
     assert compose_test(member.abp, member.read_bound).verdict == "ZERO"
+
+
+@pytest.mark.parametrize("field", [Q, prime_field(2)], ids=["Q", "F2"])
+def test_a_program_over_no_variables_gets_an_exact_verdict(field):
+    # the level-0 map feeds no slot, so every seed bound is 0 and the grid
+    # is one point: the program's constant decides both exact modes
+    const = make_abp(field, 0, [["s"], ["t"]], [("s", "t", ConstLabel(field.from_int(3)))])
+    for a, verdict, witness in ((const, "NONZERO", ()), (zero_abp(field, 0), "ZERO", None)):
+        hit = hitset_test_abp(a, 1)
+        assert (hit.queries, hit.grid) == (1, (1,))
+        for v in (hit, compose_test(a, 1), random_probe(abp_oracle(a), 0, field)):
+            assert (v.verdict, v.witness) == (verdict, witness), v.mode
 
 
 def test_compose_term_budget_reaches_the_generator_build(fixtures_dir):

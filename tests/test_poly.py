@@ -223,8 +223,9 @@ def random_rational_case(rng):
 
 
 def check_unspelled_reads(got, want):
-    """is_zero, num_terms and least_monomial of a composition, read before
-    its terms are, against the reference composition want."""
+    """is_zero, num_terms and least_monomial of a composition against the
+    reference composition want: compose_test reads them before its terms
+    are spelled, and they must not change once terms is read."""
     assert got.is_zero == want.is_zero
     assert got.num_terms == want.num_terms
     if want.is_zero:
@@ -242,6 +243,7 @@ def test_compose_equals_the_reference_on_every_corpus_expansion(field):
         check_unspelled_reads(got, want)
         assert got == want, name
         assert list(got.terms) == list(want.terms), name  # same insertion order too
+        check_unspelled_reads(got, want)  # one state: terms read, keys kept
         members += 1
         lifted += got.field != field
     assert members == 205
