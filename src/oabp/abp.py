@@ -384,15 +384,13 @@ def resolve_order(a: Abp) -> Permutation:
     Takes the declared order, else an inferred one, and raises
     StructureError when there is none or the program does not respect it.
     """
-    return _resolved(a, _layers(a), None)
+    return _resolved(a, _layers(a))
 
 
-def _resolved(a: Abp, layers: list[list[Edge]], pi: Permutation | None) -> Permutation:
-    """resolve_order on a grouping _layers already made, taking pi when the
-    caller passes one: one order check, whether pi was passed, declared or
-    inferred."""
-    if pi is None:
-        pi = a.order if a.order is not None else _inferred(a, layers)
+def _resolved(a: Abp, layers: list[list[Edge]]) -> Permutation:
+    """resolve_order on a grouping _layers already made: one order check,
+    whether the order was declared or inferred."""
+    pi = a.order if a.order is not None else _inferred(a, layers)
     if pi is None:
         raise StructureError("program respects no variable order")
     if not _respects(a, layers, pi):
@@ -453,7 +451,7 @@ def evaluate(a: Abp, point: Sequence[Any], *, layers: list[list[Edge]] | None = 
     return vals.get(a.sink, zero)
 
 
-def expand(a: Abp, budget: int | None = DEFAULT_TERM_BUDGET) -> SparsePoly:
+def expand(a: Abp, budget: int = DEFAULT_TERM_BUDGET) -> SparsePoly:
     """Exact expansion into a SparsePoly over x-variables.
 
     Level-by-level dynamic programming on polynomials.  The budget bounds the
@@ -472,7 +470,7 @@ def expand(a: Abp, budget: int | None = DEFAULT_TERM_BUDGET) -> SparsePoly:
 
     polys = _sweep(
         _layers(a), a.source, SparsePoly.const(f, f.one()), 0, a.depth,
-        _poly_transfer(f), SparsePoly.add, None if budget is None else check_budget,
+        _poly_transfer(f), SparsePoly.add, check_budget,
     )
     return polys.get(a.sink, SparsePoly.zero(f))
 

@@ -19,7 +19,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass, fields as dc_fields, replace
 from pathlib import Path
 
 from .abp import (
@@ -33,7 +33,7 @@ from .abp import (
     stats,
     validate,
 )
-from .errors import FormatError, OabpError, StructureError
+from .errors import BudgetError, FormatError, OabpError, StructureError
 from .families import (
     elementary_symmetric_abp,
     full_rank_poly,
@@ -48,6 +48,7 @@ from .generator import (
     GeneratorParams,
     build_generator,
     eval_generator,
+    points_needed,
     seed_count,
     seed_degree_bounds,
     seed_names,
@@ -172,6 +173,11 @@ def _parse_order(text: str, n: int) -> Permutation:
     return Permutation.from_sequence(seq)
 
 
+def _with_order(a: Abp, text: str | None) -> Abp:
+    """The program with --order, when given, as its declared order."""
+    return replace(a, order=_parse_order(text, a.num_vars)) if text else a
+
+
 def _parse_point(field: Field, text: str, n: int) -> tuple:
     parts = [tok for tok in text.split(",") if tok.strip()]
     if len(parts) != n:
@@ -278,9 +284,7 @@ def cmd_expand(args):
 
 
 def cmd_obliviate(args):
-    a = _load_abp(args.file)
-    pi = _parse_order(args.order, a.num_vars) if args.order else None
-    b = obliviate(a, pi)
+    b = obliviate(_with_order(_load_abp(args.file), args.order))
     st = stats(b)
     return _write_artifact(
         abp_dumps(b),
@@ -322,15 +326,24 @@ def cmd_decompose(args):
 
 def cmd_gen(args):
     field = parse_field_spec(args.field)
+    point = None
     if args.eval is not None:
         # the point is read before the 2^k interpolation nodes are laid out
         point = _parse_point(field, args.eval, seed_count(args.k, args.r))
-        values = eval_generator(GeneratorParams.create(args.k, args.r, field), point)
+    # the barycentric tables over m nodes take about m^2 products
+    nodes = points_needed(args.k, args.r)
+    if nodes**2 > args.term_budget:
+        raise BudgetError(
+            f"generator tables k={args.k}, r={args.r}: {nodes} interpolation nodes "
+            f"need {nodes**2} products, over the term budget {args.term_budget}"
+        )
+    params = GeneratorParams(args.k, args.r, field)
+    if point is not None:
+        values = eval_generator(params, point)
         return (
             {"outputs": [field.element_to_json(v) for v in values]},
             [", ".join(field.element_to_text(v) for v in values)],
         )
-    params = GeneratorParams.create(args.k, args.r, field)
     names = seed_names(args.k, args.r)
     components = build_generator(params, budget=args.term_budget)
     payload = {
@@ -352,7 +365,7 @@ def _witness_views(verdict):
     if w is None:
         return None, None
     if verdict.mode == "compose":
-        text = "*".join(v if e == 1 else f"{v}^{e}" for v, e in w)
+        text = "*".join(v if e == 1 else f"{v}^{e}" for v, e in w) or "1"
         return [[v, e] for v, e in w], text
     field = verdict.field
     text = "(" + ", ".join(field.element_to_text(x) for x in w) + ")"
@@ -360,10 +373,7 @@ def _witness_views(verdict):
 
 
 def cmd_pit(args):
-    a = _load_abp(args.file)
-    if args.order:
-        pi = _parse_order(args.order, a.num_vars)
-        a = Abp(a.field, a.num_vars, a.levels, a.edges, pi)
+    a = _with_order(_load_abp(args.file), args.order)
     opts = PitOptions(
         grid_budget=args.grid_budget,
         term_budget=args.term_budget,
@@ -396,15 +406,11 @@ def cmd_pit(args):
 def cmd_rank(args):
     obj = _load_file(args.file)
     if isinstance(obj, Abp):
-        n = obj.num_vars
-        if args.order:
-            pi = _parse_order(args.order, n)
-        elif obj.order is not None:
-            pi = obj.order
-        else:
-            pi = infer_order(obj)
-            if pi is None:
-                raise StructureError("program respects no variable order; pass --order")
+        # unchecked: the bound is about the polynomial, not the program
+        obj = _with_order(obj, args.order)
+        pi = obj.order if obj.order is not None else infer_order(obj)
+        if pi is None:
+            raise StructureError("program respects no variable order; pass --order")
     else:
         variables = obj.variables()
         if not all(isinstance(v, int) for v in variables):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from typing import Any
 
@@ -561,28 +562,20 @@ class ExtensionField(Field):
             raise FormatError(f"bad extension element {s!r}") from exc
 
 
-_FIELD_CACHE: dict[FieldConfig, Field] = {}
-
-
+@cache
 def make_field(config: FieldConfig) -> Field:
-    """Build (and cache) the field described by config."""
-    if config in _FIELD_CACHE:
-        return _FIELD_CACHE[config]
+    """Build the field described by config, once per config."""
     if config.kind == "rational":
-        field: Field = RationalField()
-    elif config.kind == "prime":
+        return RationalField()
+    if config.kind == "prime":
         if config.p is None:
             raise FieldError("prime field needs p")
-        field = PrimeField(config.p)
-    elif config.kind == "extension":
+        return PrimeField(config.p)
+    if config.kind == "extension":
         if config.p is None or config.deg is None:
             raise FieldError("extension field needs p and deg")
-        field = ExtensionField(config.p, config.deg, config.modulus)
-    else:
-        raise FieldError(f"unknown field kind {config.kind!r}")
-    _FIELD_CACHE[config] = field
-    _FIELD_CACHE[field.config] = field  # filled-in modulus
-    return field
+        return ExtensionField(config.p, config.deg, config.modulus)
+    raise FieldError(f"unknown field kind {config.kind!r}")
 
 
 def rationals() -> Field:

@@ -24,7 +24,7 @@ checked against the exact degrees of the built map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from functools import cache, cached_property
 from typing import Sequence
 
@@ -58,18 +58,19 @@ def points_needed(k: int, r: int) -> int:
 
 @dataclass(frozen=True)
 class GeneratorParams:
-    """Level k, read bound r, field, and the interpolation nodes: the first
-    points_needed(k, r) points of the field's canonical enumeration.
+    """Level k, read bound r and field.  The interpolation nodes, points,
+    are the first points_needed(k, r) points of the field's canonical
+    enumeration, laid out here: a field too small raises FieldError.
     """
 
     k: int
     r: int
     field: Field
-    points: tuple
+    points: tuple = dc_field(init=False, compare=False)
 
-    @staticmethod
-    def create(k: int, r: int, field: Field) -> "GeneratorParams":
-        return GeneratorParams(k, r, field, enumerate_points(field, points_needed(k, r)))
+    def __post_init__(self) -> None:
+        points = enumerate_points(self.field, points_needed(self.k, self.r))
+        object.__setattr__(self, "points", points)
 
     @cached_property
     def _basis_tables(self) -> tuple:
@@ -125,20 +126,20 @@ def _basis_values(field, table: tuple[tuple, tuple], at) -> list:
 
 
 @cache
-def build_generator(params: GeneratorParams, budget: int | None = DEFAULT_TERM_BUDGET) -> tuple:
+def build_generator(params: GeneratorParams, budget: int = DEFAULT_TERM_BUDGET) -> tuple:
     """Symbolic form of the level-k map: its 2^k output polynomials over the
     seed variables seed_names(k, r).
 
     Every composition inside the build raises BudgetError once it holds
-    more than budget terms.  functools.cache keeps finished maps per call
-    (params, budget), so a map built under one budget is never handed to a
-    caller with a smaller one; a build that raised leaves nothing behind.
+    more than budget terms.  functools.cache keeps finished maps per
+    (k, r, field, budget), so a map built under one budget is never handed
+    to a caller with a smaller one; a build that raised leaves nothing behind.
     Feasible for small k only; eval_generator stays cheap at every level.
     """
     return _build(params.k, params.r, params.field, params._basis_tables, budget)
 
 
-def _build(k: int, r: int, field: Field, tables: tuple, budget: int | None) -> tuple:
+def _build(k: int, r: int, field: Field, tables: tuple, budget: int) -> tuple:
     if k == 0:
         return (SparsePoly.variable(field, "z1"),)
     inner = _build(k - 1, r, field, tables, budget)

@@ -192,7 +192,7 @@ def _query_grid(
     The caller has sized the grid (seed_grid_size) and picked the field.
     """
     note = f"evaluated over extension {field.config.to_json()}" if lifted else None
-    params = GeneratorParams.create(level_for(pi.n), r, field)
+    params = GeneratorParams(level_for(pi.n), r, field)
     sides = _grid_sides(pi.n, r)
     zero = field.zero()
     grid = itertools.product(*(enumerate_points(field, side) for side in sides))
@@ -250,7 +250,7 @@ def compose_test(a: Abp, r: int, opts: PitOptions | None = None) -> PitVerdict:
     note = None
     if prog.field is not a.field:
         note = f"composed over extension {prog.field.config.to_json()}"
-    params = GeneratorParams.create(k, r, prog.field)
+    params = GeneratorParams(k, r, prog.field)
     gen = build_generator(params, budget=opts.term_budget)
     images = {i: gen[pi.rank(i) - 1] for i in range(1, n + 1)}
     composition = f.compose(images, budget=opts.term_budget)

@@ -298,7 +298,7 @@ class SparsePoly:
     def compose(
         self,
         images: Mapping[VarKey, "SparsePoly"],
-        budget: int | None = DEFAULT_TERM_BUDGET,
+        budget: int = DEFAULT_TERM_BUDGET,
     ) -> "SparsePoly":
         """Substitute a polynomial for every variable and expand.
 
@@ -394,7 +394,7 @@ class SparsePoly:
             mul, add, zero, one = f.mul, f.add, f.zero(), f.one()
 
         def product(left: dict, right: dict) -> dict:
-            if budget is not None and len(left) * len(right) > budget:
+            if len(left) * len(right) > budget:
                 raise BudgetError(
                     f"product of {len(left)} x {len(right)} terms "
                     f"exceeds term budget {budget}"
@@ -447,7 +447,7 @@ class SparsePoly:
                         del total[k]
                     else:
                         total[k] = c
-            if budget is not None and len(total) > budget:
+            if len(total) > budget:
                 raise BudgetError(f"composition exceeds term budget {budget}")
 
         return _PackedPoly(f, total, layout, top, denom if rational else None)

@@ -21,7 +21,6 @@ from .abp import (
     Abp,
     ConstLabel,
     Edge,
-    Permutation,
     VarLabel,
     _layers,
     _oblivious_report,
@@ -57,10 +56,11 @@ def _const_path_weights(
     return weights
 
 
-def obliviate(a: Abp, pi: Permutation | None = None) -> Abp:
+def obliviate(a: Abp) -> Abp:
     """Equivalent oblivious program with one variable layer per rank read.
 
-    Step i is the i-th smallest rank an edge reads.  The output
+    Step i is the i-th smallest rank an edge reads under resolve_order's
+    order (declared, else inferred), which the output declares.  The output
     interleaves, for each step i, a "carry" level (nodes carry(v, i) for
     original nodes v, each computing the sum of paths into v that use only
     the variables of earlier steps) and a "landing" level (nodes receiving the
@@ -85,7 +85,7 @@ def obliviate(a: Abp, pi: Permutation | None = None) -> Abp:
     same programs on both.
     """
     layers = _layers(a)
-    pi = _resolved(a, layers, pi)
+    pi = _resolved(a, layers)
     f = a.field
     zero = f.zero()
     nodes = [node for lvl in a.levels for node in lvl]

@@ -116,12 +116,12 @@ def infer_order_reference(a):
     return Permutation(image)
 
 
-def obliviate_reference(a, pi=None):
+def obliviate_reference(a):
     """obliviate with the full layout: a carry and a ferry for every node at
     every step, fan-outs scanned over every node, and the final carries
     other than the sink's dropped at the end."""
     layers = _layers(a)
-    pi = _resolved(a, layers, pi)
+    pi = _resolved(a, layers)
     f = a.field
     zero = f.zero()
     nodes = [node for lvl in a.levels for node in lvl]

@@ -231,6 +231,8 @@ def test_check_order_identity():
     a = two_path()
     assert check_order(a, Permutation.identity(2))
     assert not check_order(a, Permutation.from_sequence([2, 1]))
+    with pytest.raises(StructureError, match="order over 3 variables, program has 2"):
+        check_order(a, Permutation.identity(3))
 
 
 def test_check_order_branching_paths():

@@ -75,7 +75,7 @@ def test_c01_level_one_closed_form():
     with criterion("C1 level-one closed form", budget=1.0):
         one = Fraction(1)
         for r in (1, 2, 3):
-            gen = build_generator(GeneratorParams.create(1, r, Q))
+            gen = build_generator(GeneratorParams(1, r, Q))
             first = SparsePoly(
                 Q,
                 {
@@ -178,7 +178,7 @@ def test_c06_degree_audit():
             for r in (1, 2):
                 if (k, r) == (3, 2):
                     continue
-                gen = build_generator(GeneratorParams.create(k, r, Q))
+                gen = build_generator(GeneratorParams(k, r, Q))
                 degrees = [c.individual_degrees() for c in gen]
                 for n in range(2 ** (k - 1) + 1, 2**k + 1):
                     exact = tuple(
@@ -188,7 +188,7 @@ def test_c06_degree_audit():
                     audited += 1
         # composing even x1*x2 with the level-1 map doubles the degree of a
         # seed shared by both outputs: u1 reaches 2, exactly its d_s
-        gen = build_generator(GeneratorParams.create(1, 1, Q))
+        gen = build_generator(GeneratorParams(1, 1, Q))
         f = SparsePoly(Q, {((1, 1), (2, 1)): Fraction(1)})
         comp = f.compose({1: gen[0], 2: gen[1]})
         u1_deg = max(

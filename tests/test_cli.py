@@ -294,6 +294,10 @@ def test_pit_answers_a_program_over_no_variables(capsys, tmp_path, mode):
     assert (code, err) == (0, "")
     payload = json.loads(out)
     assert (payload["verdict"], payload["witness"]) == ("NONZERO", [])
+    # the empty monomial of compose spells as 1, the empty point as ()
+    code, out, err = run(capsys, "pit", const, "--read", "1", "--mode", mode)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == ("witness: 1" if mode == "compose" else "witness: ()")
 
 
 def test_validate_and_pit_spell_a_refused_order_alike(capsys, tmp_path):
@@ -366,6 +370,45 @@ def test_commands_refuse_an_invalid_program(capsys, tmp_path, command, levels, t
     assert (code, out, err) == (2, "", f"error: invalid program: {problem}\n")
 
 
+def test_pit_notes_a_lifted_verdict_in_human_output(capsys, tmp_path):
+    # F_2 holds too few points for the level-1 map, so both exact modes lift
+    f2 = tmp_path / "x1x2_f2.abp.json"
+    f2.write_text(json.dumps({
+        "field": {"kind": "prime", "p": 2},
+        "num_vars": 2,
+        "levels": [["s"], ["m"], ["t"]],
+        "edges": [
+            {"from": "s", "to": "m", "label": {"var": 1}},
+            {"from": "m", "to": "t", "label": {"var": 2}},
+        ],
+    }))
+    extension = "{'kind': 'extension', 'p': 2, 'deg': 3, 'modulus': [1, 1, 0, 1]}"
+    code, out, _ = run(capsys, "pit", f2, "--read", "1")
+    assert (code, out) == (0, (
+        "NONZERO (mode=hitset, queries=6)\n"
+        "witness: (1:1:0, 0:1:0)\n"
+        f"note: evaluated over extension {extension}\n"
+    ))
+    code, out, _ = run(capsys, "pit", f2, "--read", "1", "--mode", "compose")
+    assert (code, out) == (0, (
+        "NONZERO (mode=compose, queries=0)\n"
+        "witness: z1*z2\n"
+        f"note: composed over extension {extension}\n"
+    ))
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["pit", "--read", "1"], ["obliviate"], ["rank"]],
+    ids=["pit", "obliviate", "rank"],
+)
+def test_an_order_of_the_wrong_length_is_refused(capsys, fixtures_dir, command):
+    code, out, err = run(
+        capsys, command[0], fixtures_dir / "x1x2.abp.json", *command[1:], "--order", "1"
+    )
+    assert (code, out, err) == (2, "", "error: order lists 1 variables, expected 2\n")
+
+
 def test_pit_grid_budget_exceeded(capsys, fixtures_dir):
     code, _, err = run(capsys, "pit", fixtures_dir / "symm_4_2.abp.json", "--read", "2")
     assert code == 2
@@ -398,6 +441,36 @@ def test_rank_default_order(capsys, fixtures_dir):
 def test_rank_on_program(capsys, fixtures_dir):
     code, out, _ = run(capsys, "rank", fixtures_dir / "symm_3_2.abp.json")
     assert (code, out) == (0, "read lower bound: 2\n")
+
+
+def test_rank_order_flag_replaces_a_programs_order(capsys, fixtures_dir):
+    # the bound is about the polynomial, so rank takes an order the program
+    # does not respect: ordersep_2 declares its good order
+    path = fixtures_dir / "ordersep_2.abp.json"
+    assert run(capsys, "rank", path) == (0, "read lower bound: 1\n", "")
+    code, out, _ = run(capsys, "--json", "rank", path, "--order", "2,4,1,3,5")
+    assert code == 0
+    assert json.loads(out) == {"read_lower_bound": 4, "order": [2, 4, 1, 3, 5]}
+
+
+def test_rank_refuses_a_program_that_respects_no_order(capsys, tmp_path):
+    # one path reads x1 then x2, the other x2 then x1
+    crossed = tmp_path / "crossed.abp.json"
+    crossed.write_text(json.dumps({
+        **PROGRAM_HEAD,
+        "num_vars": 3,
+        "levels": [["s"], ["a", "b"], ["t"]],
+        "edges": [
+            {"from": "s", "to": "a", "label": {"var": 1}},
+            {"from": "a", "to": "t", "label": {"var": 2}},
+            {"from": "s", "to": "b", "label": {"var": 2}},
+            {"from": "b", "to": "t", "label": {"var": 1}},
+        ],
+    }))
+    code, out, err = run(capsys, "rank", crossed)
+    assert (code, out, err) == (2, "", "error: program respects no variable order; pass --order\n")
+    code, out, _ = run(capsys, "rank", crossed, "--order", "1,2,3")
+    assert (code, out) == (0, "read lower bound: 1\n")
 
 
 def test_rank_needs_odd_variable_count(capsys, fixtures_dir):
@@ -491,6 +564,22 @@ def test_gen_eval_reads_the_point_before_laying_out_nodes(capsys):
     assert (code, out, err) == (2, "", "error: point has 1 coordinates, expected 121\n")
 
 
+@pytest.mark.parametrize("eval_point", [False, True], ids=["build", "eval"])
+def test_gen_refuses_the_generator_tables_before_laying_out_nodes(capsys, eval_point):
+    # the tables over 2^30 nodes would take about 4^30 products
+    args = ["gen", "--k", "30", "--r", "1"]
+    if eval_point:
+        args += ["--eval", ",".join(["1"] * 121)]
+    start = time.perf_counter()
+    code, out, err = run(capsys, *args)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: generator tables k=30, r=1: {2**30} interpolation nodes "
+        f"need {4**30} products, over the term budget 1000000\n"
+    )
+
+
 def test_gen_eval_json(capsys):
     code, out, _ = run(
         capsys, "--json", "gen", "--k", "1", "--r", "1", "--eval", "0,0,0,1,2"
@@ -517,6 +606,16 @@ def test_family_output_is_deterministic(capsys, fixtures_dir):
     code, out, _ = run(capsys, "family", "symm", "--n", "3", "--k", "2")
     assert code == 0
     assert out == (fixtures_dir / "symm_3_2.abp.json").read_text()
+
+
+def test_family_ryser_matches_fixture(capsys, fixtures_dir, tmp_path):
+    code, out, _ = run(capsys, "family", "ryser", "--n", "2")
+    assert code == 0
+    assert out == (fixtures_dir / "ryser_2.abp.json").read_text()
+    target = tmp_path / "ryser_2.abp.json"
+    code, out, _ = run(capsys, "--json", "family", "ryser", "--n", "2", "-o", target)
+    assert code == 0
+    assert json.loads(out) == {"family": "ryser", "n": 2, "size": 16, "read": 2, "out": str(target)}
 
 
 def test_family_ordersep_poly_matches_fixture(capsys, fixtures_dir):

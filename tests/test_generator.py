@@ -48,7 +48,7 @@ def test_points_needed():
 # second output z1 + ... + z_{1+r} + u1*v1
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_level_one_closed_form(r):
-    gen = build_generator(GeneratorParams.create(1, r, Q))
+    gen = build_generator(GeneratorParams(1, r, Q))
     one = Fraction(1)
     first = SparsePoly(
         Q,
@@ -69,7 +69,7 @@ def test_level_one_closed_form(r):
 def test_level_one_hits_every_pair():
     # the witness recipe: z1 = a, z2 = b - a, everything else 0 maps to (a, b)
     rng = random.Random(2)
-    params = GeneratorParams.create(1, 1, Q)
+    params = GeneratorParams(1, 1, Q)
     for _ in range(20):
         a, b = Fraction(rng.randint(-9, 9)), Fraction(rng.randint(-9, 9))
         seed = (a, b - a, Fraction(0), Fraction(0), Fraction(0))
@@ -79,7 +79,7 @@ def test_level_one_hits_every_pair():
 @pytest.mark.parametrize("k,r", [(1, 1), (1, 2), (2, 1), (2, 2)])
 def test_eval_matches_symbolic(k, r):
     for field in (Q, prime_field(101)):
-        params = GeneratorParams.create(k, r, field)
+        params = GeneratorParams(k, r, field)
         gen = build_generator(params)
         names = seed_names(k, r)
         rng = random.Random(31 * k + r)
@@ -98,7 +98,7 @@ def test_eval_matches_symbolic_over_an_extension():
     # F_9 holds exactly the 9 nodes the level-2, read-1 map needs
     rng = random.Random(5)
     field = extension_field(3, 2)
-    params = GeneratorParams.create(2, 1, field)
+    params = GeneratorParams(2, 1, field)
     assert params.points == enumerate_points(field, points_needed(2, 1))
     gen = build_generator(params)
     names = seed_names(2, 1)
@@ -110,12 +110,12 @@ def test_eval_matches_symbolic_over_an_extension():
 
 def test_output_count_doubles_per_level():
     for k in (0, 1, 2, 3):
-        gen = build_generator(GeneratorParams.create(k, 1, Q))
+        gen = build_generator(GeneratorParams(k, 1, Q))
         assert len(gen) == 2**k
 
 
 def test_level_zero_is_the_single_seed():
-    gen = build_generator(GeneratorParams.create(0, 1, Q))
+    gen = build_generator(GeneratorParams(0, 1, Q))
     assert gen[0] == SparsePoly(Q, {(("z1", 1),): Fraction(1)})
 
 
@@ -123,8 +123,8 @@ def test_self_similarity():
     # with the selector arm off (u_k = 0) and the level-k translation seeds
     # zero, both halves reproduce the level-(k-1) map
     for k, r in ((1, 1), (2, 1), (2, 2)):
-        params = GeneratorParams.create(k, r, Q)
-        inner = GeneratorParams.create(k - 1, r, Q)
+        params = GeneratorParams(k, r, Q)
+        inner = GeneratorParams(k - 1, r, Q)
         names = seed_names(k, r)
         inner_names = seed_names(k - 1, r)
         rng = random.Random(7 * k + r)
@@ -141,7 +141,7 @@ def test_selector_picks_one_output():
     # zero seeds kill both halves; v at interpolation node j-1 routes u to
     # output j alone
     k = 2
-    params = GeneratorParams.create(k, 1, Q)
+    params = GeneratorParams(k, 1, Q)
     names = seed_names(k, 1)
     nodes = enumerate_points(Q, 4)
     u = Fraction(9)
@@ -225,7 +225,7 @@ def test_seed_degree_bounds_cover_exact_degrees():
             if field.size() is not None and field.size() < points_needed(k, r):
                 assert (field, k, r) == (F9, 2, 2)
                 continue
-            gen = build_generator(GeneratorParams.create(k, r, field))
+            gen = build_generator(GeneratorParams(k, r, field))
             for n in range(2 ** (k - 1) + 1, 2**k + 1):
                 bound = seed_degree_bounds(k, r, n)
                 exact = tuple(
@@ -262,18 +262,22 @@ def test_selector_seed_bounds_are_the_variable_count():
 
 def test_params_validation():
     with pytest.raises(StructureError):
-        GeneratorParams.create(-1, 1, Q)
+        GeneratorParams(-1, 1, Q)
     with pytest.raises(StructureError):
-        GeneratorParams.create(1, 0, Q)
+        GeneratorParams(1, 0, Q)
     # the level-2, read-1 map needs 9 distinct nodes; F_7 has 7
     with pytest.raises(FieldError, match="requested 9 distinct points"):
-        GeneratorParams.create(2, 1, prime_field(7))
+        GeneratorParams(2, 1, prime_field(7))
+    # the nodes are always the field's first points_needed(k, r) points
+    with pytest.raises(TypeError):
+        GeneratorParams(1, 1, Q, (0, 1, 2))
+    assert GeneratorParams(1, 1, Q).points == enumerate_points(Q, points_needed(1, 1))
 
 
 def test_build_cache_returns_same_object():
-    a = build_generator(GeneratorParams.create(2, 1, Q))
-    b = build_generator(GeneratorParams.create(2, 1, Q))
+    a = build_generator(GeneratorParams(2, 1, Q))
+    b = build_generator(GeneratorParams(2, 1, Q))
     assert a is b
     # a map cached under the default budget does not let a smaller one through
     with pytest.raises(BudgetError, match="term budget 10$"):
-        build_generator(GeneratorParams.create(2, 1, Q), budget=10)
+        build_generator(GeneratorParams(2, 1, Q), budget=10)

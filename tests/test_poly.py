@@ -200,7 +200,7 @@ def corpus_compositions(field):
     for m in standard_corpus():
         a = m.abp if field == Q else over_prime(m.abp, field)
         prog, pi = _working_program(a, m.read_bound, PitOptions())
-        params = GeneratorParams.create(level_for(a.num_vars), m.read_bound, prog.field)
+        params = GeneratorParams(level_for(a.num_vars), m.read_bound, prog.field)
         gen = build_generator(params)
         yield m.name, expand(prog), {i: gen[pi.rank(i) - 1] for i in range(1, a.num_vars + 1)}
 
@@ -253,7 +253,7 @@ def test_compose_equals_the_reference_on_every_corpus_expansion(field):
 @pytest.mark.parametrize("field", [Q, prime_field(10007)], ids=["Q", "F10007"])
 def test_generator_build_equals_a_build_on_the_reference(monkeypatch, field):
     for k, r in itertools.product((1, 2), (1, 2, 3)):
-        params = GeneratorParams.create(k, r, field)
+        params = GeneratorParams(k, r, field)
         got = build_generator(params)
         with monkeypatch.context() as m:
             m.setattr(SparsePoly, "compose", compose_reference)
@@ -321,7 +321,7 @@ def test_compose_refuses_at_the_product_the_reference_refuses_at():
 
 def test_generator_build_refuses_where_a_reference_build_refuses(monkeypatch):
     for r in (1, 2):
-        params = GeneratorParams.create(2, r, Q)
+        params = GeneratorParams(2, r, Q)
         build = (oabp.generator._build, 2, r, Q, params._basis_tables)
         for budget in BUDGETS:
             got = outcome(*build, budget)
@@ -381,7 +381,7 @@ def test_mono_mul_matches_the_dict_and_sort_reference():
 
 def test_every_constructor_yields_canonical_monomials():
     for k, r in itertools.product((1, 2), repeat=2):
-        gen = build_generator(GeneratorParams.create(k, r, Q))
+        gen = build_generator(GeneratorParams(k, r, Q))
         assert all(is_canonical(m) for p in gen for m in p.terms), (k, r)
     exps = {"3": 1, "1": 2, "z": 1, "z0": 1, "z01": 2, "u1": 1}
     read = set()

@@ -59,7 +59,7 @@ def test_the_traced_compose_span_spells_no_composition(monkeypatch):
     m = next(m for m in standard_corpus() if m.name == "ryser_2")
     a, n = m.abp, m.abp.num_vars
     pi = resolve_order(a)
-    gen = build_generator(GeneratorParams.create(level_for(n), m.read_bound, a.field))
+    gen = build_generator(GeneratorParams(level_for(n), m.read_bound, a.field))
     images = {i: SparsePoly(a.field, gen[pi.rank(i) - 1].terms) for i in range(1, n + 1)}
     f = expand(a)
 

@@ -141,11 +141,12 @@ def test_obliviate_respects_explicit_order():
         [("s", "m", VarLabel(2)), ("m", "t", VarLabel(1))],
     )
     pi = Permutation.from_sequence([2, 1])
-    b = obliviate(a, pi)
+    b = obliviate(replace(a, order=pi))
     assert expand(b) == expand(a)
     assert check_order(b, pi)
+    assert b.order == pi
     with pytest.raises(StructureError):
-        obliviate(a, Permutation.identity(2))
+        obliviate(replace(a, order=Permutation.identity(2)))
 
 
 def test_obliviate_unorderable_program_raises():
@@ -205,8 +206,22 @@ def test_derivative_needs_single_layer_reads():
     a = make_abp(
         Q, 1, [["s"], ["m"], ["t"]], [("s", "m", VarLabel(1)), ("m", "t", VarLabel(1))]
     )
-    with pytest.raises(StructureError):
+    with pytest.raises(StructureError, match="single-layer reads required"):
         derivative_abp(a, 1)
+    # one layer reads x1 on one edge and x2 on another
+    mixed = make_abp(
+        Q,
+        2,
+        [["s"], ["a", "b"], ["t"]],
+        [
+            ("s", "a", VarLabel(1)),
+            ("s", "b", VarLabel(2)),
+            ("a", "t", ConstLabel(Fraction(1))),
+            ("b", "t", ConstLabel(Fraction(1))),
+        ],
+    )
+    with pytest.raises(StructureError, match="not oblivious: layer 0 mixes x_1 and x_2"):
+        derivative_abp(mixed, 1)
 
 
 def test_derivative_matches_the_build_then_prune_reference():
@@ -374,6 +389,10 @@ def test_reduce_rejects_zero_sum():
     assert pair_sum(dec).is_zero
     with pytest.raises(StructureError):
         reduce_independent(dec)
+    x1 = SparsePoly.variable(Q, 1)
+    for left, right in (([], []), ([x1], []), ([x1], [x1, x1])):
+        with pytest.raises(StructureError, match="nonempty and aligned"):
+            reduce_independent(Decomposition(left, right, cut_level=1))
 
 
 # -- edge order -----------------------------------------------------------------
