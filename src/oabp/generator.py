@@ -16,6 +16,9 @@ play the role of the translation inputs at the top level.
 Both forms of the map share one Lagrange evaluator, _basis_values, over the
 barycentric tables of GeneratorParams._basis_tables.  eval_generator runs
 it on field elements, recursing into both halves and expanding nothing;
+each node of its recursion keeps its last half images on the params object
+(GeneratorParams._halves), keyed by the seed values they read, so a grid
+walk whose fastest seeds are u_k and v_k recomputes only the tags.
 build_generator runs it on polynomials, to get the symbolic shift images
 and slot tags, and composes the inner map into the second half.
 seed_degree_bounds is the one degree bound: it sizes the hitset grid and is
@@ -88,6 +91,20 @@ class GeneratorParams:
             )
             for j in range(1, self.k + 1)
         )
+
+    @cached_property
+    def _halves(self) -> list:
+        """eval_generator's last half images per node of its recursion, as
+        (key, images) or None.  Slot 0 is the top level; the node in slot i
+        recurses into slot 2i + 1 for the first half and 2i + 2 for the
+        shifted half, so the level-k map has 2^k - 1 slots.  The key is the
+        node's seed values other than its own u and v: exactly the values
+        its two half images read.
+
+        Not shared between params objects either: a zero test makes its own
+        params object, so its queries reuse only its own half images.
+        """
+        return [None] * (2**self.k - 1)
 
 
 def _barycentric(field: Field, nodes: Sequence) -> tuple[tuple, tuple]:
@@ -168,6 +185,9 @@ def eval_generator(params: GeneratorParams, assignment: Sequence) -> tuple:
     The assignment lists values for z1..zl, u1..uk, v1..vk in that order.
     Recursive: splits off the top-level translation inputs and selector pair,
     shifts the inner seeds numerically, and combines the two half-evaluations.
+    Each node of the recursion reuses its last half images (see
+    GeneratorParams._halves) while the seeds they read are unchanged, so a
+    walk that moves only u_k and v_k recomputes only the tags.
     """
     k, r, field = params.k, params.r, params.field
     expect = seed_count(k, r)
@@ -175,32 +195,34 @@ def eval_generator(params: GeneratorParams, assignment: Sequence) -> tuple:
         raise StructureError(
             f"level {k} expects {expect} seed values, got {len(assignment)}"
         )
-    return _eval(k, r, field, params._basis_tables, tuple(assignment))
+    return _eval(k, r, field, params._basis_tables, params._halves, 0, tuple(assignment))
 
 
-def _eval(k: int, r: int, field: Field, tables: tuple, assignment: tuple) -> tuple:
+def _eval(
+    k: int, r: int, field: Field, tables: tuple, halves: list, node: int, assignment: tuple
+) -> tuple:
     if k == 0:
         return (assignment[0],)
     lc_prev = z_count(k - 1, r)
     lc = z_count(k, r)
-    zs = assignment[:lc]
-    us = assignment[lc : lc + k]
-    vs = assignment[lc + k :]
-    inner_assignment = zs[:lc_prev] + us[: k - 1] + vs[: k - 1]
-    shift_table, select_table = tables[k - 1]
-    # translation T_j(y) = sum_i y_i * H_j(y_{r+i}), added to inner seed j
-    shifted_inner = list(inner_assignment)
-    for i in range(lc_prev, lc_prev + r):
-        y = zs[i]
-        for j, h in enumerate(_basis_values(field, shift_table, zs[i + r])):
-            shifted_inner[j] = field.add(shifted_inner[j], field.mul(y, h))
-    first = _eval(k - 1, r, field, tables, inner_assignment)
-    second = _eval(k - 1, r, field, tables, tuple(shifted_inner))
-    u_k = us[-1]
-    tags = _basis_values(field, select_table, vs[-1])
-    return tuple(
-        field.add(field.mul(u_k, tag), half) for tag, half in zip(tags, first + second)
-    )
+    # every seed but u_k and v_k: z1..z_lc, u1..u_{k-1}, v1..v_{k-1}
+    key = assignment[: lc + k - 1] + assignment[lc + k : -1]
+    memo = halves[node]
+    if memo is None or memo[0] != key:
+        shift_table = tables[k - 1][0]
+        inner = key[:lc_prev] + key[lc:]
+        # translation T_j(y) = sum_i y_i * H_j(y_{r+i}), added to inner seed j
+        shifted = list(inner)
+        for i in range(lc_prev, lc_prev + r):
+            y = key[i]
+            for j, h in enumerate(_basis_values(field, shift_table, key[i + r])):
+                shifted[j] = field.add(shifted[j], field.mul(y, h))
+        first = _eval(k - 1, r, field, tables, halves, 2 * node + 1, inner)
+        second = _eval(k - 1, r, field, tables, halves, 2 * node + 2, tuple(shifted))
+        memo = halves[node] = (key, first + second)
+    u_k = assignment[lc + k - 1]
+    tags = _basis_values(field, tables[k - 1][1], assignment[-1])
+    return tuple(field.add(field.mul(u_k, tag), half) for tag, half in zip(tags, memo[1]))
 
 
 def _slot_degrees(k: int, r: int) -> tuple[tuple[dict, int], ...]:

@@ -17,6 +17,7 @@ from oabp.abp import (
     zero_abp,
 )
 from oabp.errors import BudgetError, StructureError
+from oabp.generator import _basis_values, z_count
 from oabp.poly import DEFAULT_TERM_BUDGET, SparsePoly, mono_sort_key, var_sort_key
 from oabp.transforms import _const_path_weights
 
@@ -314,6 +315,38 @@ def compose_reference(p, images, budget=DEFAULT_TERM_BUDGET):
         if budget is not None and total.num_terms > budget:
             raise BudgetError(f"composition exceeds term budget {budget}")
     return total
+
+
+def eval_generator_reference(params, assignment):
+    """Value of the level-k map at a seed assignment, recomputing both half
+    images at every node of the recursion: eval_generator without reuse."""
+    return _eval_reference(
+        params.k, params.r, params.field, params._basis_tables, tuple(assignment)
+    )
+
+
+def _eval_reference(k, r, field, tables, assignment):
+    if k == 0:
+        return (assignment[0],)
+    lc_prev = z_count(k - 1, r)
+    lc = z_count(k, r)
+    zs = assignment[:lc]
+    us = assignment[lc : lc + k]
+    vs = assignment[lc + k :]
+    inner_assignment = zs[:lc_prev] + us[: k - 1] + vs[: k - 1]
+    shift_table, select_table = tables[k - 1]
+    shifted_inner = list(inner_assignment)
+    for i in range(lc_prev, lc_prev + r):
+        y = zs[i]
+        for j, h in enumerate(_basis_values(field, shift_table, zs[i + r])):
+            shifted_inner[j] = field.add(shifted_inner[j], field.mul(y, h))
+    first = _eval_reference(k - 1, r, field, tables, inner_assignment)
+    second = _eval_reference(k - 1, r, field, tables, tuple(shifted_inner))
+    u_k = us[-1]
+    tags = _basis_values(field, select_table, vs[-1])
+    return tuple(
+        field.add(field.mul(u_k, tag), half) for tag, half in zip(tags, first + second)
+    )
 
 
 def pair_sum(dec) -> SparsePoly:

@@ -123,6 +123,23 @@ def test_validate_flags_foreign_constant():
     assert any("not a field element" in p for p in validate(foreign_constant()))
 
 
+@pytest.mark.parametrize(
+    "field, value, ok",
+    [
+        (prime_field(3), True, False),
+        (prime_field(3), 1, True),
+        (extension_field(3, 2), (True, False), False),
+        (extension_field(3, 2), (1, False), False),
+        (extension_field(3, 2), (1, 0), True),
+    ],
+    ids=["F3-True", "F3-1", "F9-True-False", "F9-1-False", "F9-1-0"],
+)
+def test_validate_refuses_bool_constants(field, value, ok):
+    a = make_abp(field, 1, [["s"], ["t"]], [("s", "t", ConstLabel(value))])
+    flagged = any("not a field element" in p for p in validate(a))
+    assert flagged is not ok
+
+
 def test_validate_flags_order_arity():
     assert any("declared order" in p for p in validate(order_arity()))
 

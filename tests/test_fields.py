@@ -5,8 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from oabp.abp import ConstLabel, VarLabel, make_abp
 from oabp.errors import BudgetError, FieldError, FormatError
 from oabp.fields import (
+    _LOG_TABLE_LIMIT,
+    ExtensionField,
     FieldConfig,
     _pmod,
     _text_int,
@@ -22,6 +25,7 @@ from oabp.fields import (
     prime_field,
     rationals,
 )
+from oabp.pit import hitset_test_abp
 
 
 @pytest.mark.parametrize("text, value", [("7", 7), ("+7", 7), ("-7", -7), ("007", 7), ("0", 0)])
@@ -173,15 +177,106 @@ def test_extension_field_f9_table():
         F9.inv(F9.zero())
 
 
-@pytest.mark.parametrize("p,d", [(3, 2), (2, 3), (5, 2)])
+def _reference_ops(F):
+    """add, sub and mul of F coefficient by coefficient, the product by
+    _pmul reduced by _pmod: arithmetic that uses no table."""
+    p, d = F.p, F.deg
+
+    def wrap(cs):
+        return tuple(cs + [0] * (d - len(cs)))
+
+    def mul(a, b):
+        return wrap(_pmod(_pmul(_trim(list(a)), _trim(list(b)), p), list(F.modulus), p))
+
+    def add(a, b):
+        return tuple((x + y) % p for x, y in zip(a, b))
+
+    def sub(a, b):
+        return tuple((x - y) % p for x, y in zip(a, b))
+
+    return add, sub, mul
+
+
+@pytest.mark.parametrize("p,d", [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (7, 2)])
 def test_extension_mul_matches_polynomial_reduction(p, d):
-    # every pair of F_9, F_8 and F_25 against the product reduced by _pmod
+    # every pair of F_4, F_8, F_9, F_16, F_25, F_27 and F_49, on the log
+    # tables: mul against the product reduced by _pmod, and add, sub, inv
+    # and pow against the same reference arithmetic
     F = extension_field(p, d)
+    assert F.size() <= _LOG_TABLE_LIMIT and F._log_tables is not None
+    add, sub, mul = _reference_ops(F)
     elements = [F.element_at(j) for j in range(p**d)]
     for a in elements:
         for b in elements:
-            want = _pmod(_pmul(_trim(list(a)), _trim(list(b)), p), list(F.modulus), p)
-            assert F.mul(a, b) == tuple(want + [0] * (d - len(want))), (a, b)
+            assert F.add(a, b) == add(a, b), (a, b)
+            assert F.sub(a, b) == sub(a, b), (a, b)
+            assert F.mul(a, b) == mul(a, b), (a, b)
+        if a != F.zero():
+            assert mul(a, F.inv(a)) == F.one(), a
+        want = F.one()
+        for e in range(p**d + 2):
+            assert F.pow(a, e) == want, (a, e)
+            want = mul(want, a)
+    with pytest.raises(FieldError, match="division by zero"):
+        F.inv(F.zero())
+
+
+def test_extension_above_the_table_limit_uses_the_schoolbook_product():
+    F = ExtensionField(67, 2)
+    assert F.size() == 4489 > _LOG_TABLE_LIMIT
+    assert F._log_tables is None
+    add, sub, mul = _reference_ops(F)
+    rng = random.Random(4)
+    for _ in range(500):
+        a, b = (F.element_at(rng.randrange(4489)) for _ in range(2))
+        assert F.add(a, b) == add(a, b)
+        assert F.sub(a, b) == sub(a, b)
+        assert F.mul(a, b) == mul(a, b)
+        if a != F.zero():
+            assert mul(a, F.inv(a)) == F.one()
+
+
+def test_building_the_tables_makes_no_counted_operation(monkeypatch):
+    # a full hitset grid over a fresh F_9 object, whose tables are built
+    # during the first verdict, makes the same add, mul and inv calls as
+    # the same verdict on the object once its tables exist
+    F = ExtensionField(3, 2)
+    counts = dict.fromkeys(("add", "mul", "inv"), 0)
+    for op in counts:
+        method = getattr(ExtensionField, op)
+
+        def counted(self, *args, op=op, method=method):
+            counts[op] += 1
+            return method(self, *args)
+
+        monkeypatch.setattr(ExtensionField, op, counted)
+    # 0 * x1 * x2: read once, zero, so the verdict walks the whole grid
+    prog = make_abp(
+        F,
+        2,
+        [["s"], ["a"], ["b"], ["t"]],
+        [("s", "a", ConstLabel(F.zero())), ("a", "b", VarLabel(1)), ("b", "t", VarLabel(2))],
+    )
+    seen = []
+    for _ in range(2):
+        counts.update(dict.fromkeys(counts, 0))
+        verdict = hitset_test_abp(prog, 1)
+        assert verdict.verdict == "ZERO" and verdict.field is F
+        seen.append(dict(counts))
+    assert "_log_tables" in F.__dict__
+    assert seen[0] == seen[1]
+    assert min(seen[0].values()) > 0
+
+
+@pytest.mark.parametrize(
+    "F, a",
+    [(rationals(), Fraction(2)), (prime_field(5), 2), (extension_field(3, 2), (0, 1))],
+    ids=["Q", "F5", "F9"],
+)
+def test_pow_refuses_a_negative_exponent(F, a):
+    with pytest.raises(FieldError, match="negative exponent -1"):
+        F.pow(a, -1)
+    assert F.pow(a, 0) == F.one()
 
 
 def test_extension_field_frobenius_fixes_everything():

@@ -1,5 +1,6 @@
 """The recursive hitting-set map: closed forms, evaluation, degree bounds."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -20,7 +21,9 @@ from oabp.generator import (
     seed_names,
     z_count,
 )
+from oabp.pit import _grid_sides
 from oabp.poly import SparsePoly
+from reference import eval_generator_reference
 
 Q = rationals()
 
@@ -281,3 +284,53 @@ def test_build_cache_returns_same_object():
     # a map cached under the default budget does not let a smaller one through
     with pytest.raises(BudgetError, match="term budget 10$"):
         build_generator(GeneratorParams(2, 1, Q), budget=10)
+
+
+def _grid_point(sides, points, index):
+    """Grid point number index in itertools.product order, last seed fastest."""
+    out = []
+    for side in reversed(sides):
+        index, j = divmod(index, side)
+        out.append(points[j])
+    return tuple(reversed(out))
+
+
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize(
+    "field", [Q, prime_field(10007), extension_field(3, 2)], ids=["Q", "F10007", "F9"]
+)
+def test_eval_reuses_half_images_only_while_their_seeds_stand(field, r):
+    # one params object for the whole n = 2 grid, so every node's entry is
+    # reused while u1, v1 move and replaced when a z-seed does
+    params = GeneratorParams(1, r, field)
+    sides = _grid_sides(2, r)
+    points = enumerate_points(field, max(sides))
+    for seed in itertools.product(*(points[:side] for side in sides)):
+        assert eval_generator(params, seed) == eval_generator_reference(params, seed)
+
+
+def test_eval_reuse_on_a_window_and_a_shuffled_sample_of_the_n3_grid():
+    field = prime_field(10007)
+    params = GeneratorParams(2, 1, field)
+    sides = _grid_sides(3, 1)
+    points = enumerate_points(field, max(sides))
+    total = math.prod(sides)
+    window = range(total // 2 - 600, total // 2 + 600)
+    sample = random.Random(11).sample(range(total), 600)
+    for index in [*window, *sample]:
+        seed = _grid_point(sides, points, index)
+        assert eval_generator(params, seed) == eval_generator_reference(params, seed)
+
+
+@pytest.mark.parametrize("field", [Q, prime_field(10007)], ids=["Q", "F10007"])
+def test_eval_reuse_on_random_assignments_at_level_three(field):
+    # each step redraws a random subset of the seeds, so entries at every
+    # depth are sometimes kept and sometimes replaced
+    rng = random.Random(3)
+    params = GeneratorParams(3, 1, field)
+    draw = lambda: field.element_at(rng.randrange(20))
+    seed = [draw() for _ in seed_names(3, 1)]
+    for _ in range(200):
+        for s in rng.sample(range(len(seed)), rng.randint(1, len(seed))):
+            seed[s] = draw()
+        assert eval_generator(params, seed) == eval_generator_reference(params, seed)
