@@ -5,7 +5,8 @@ an order fixes the sequence in which variables may appear along paths.  The
 package builds, validates, reshapes, and expands such programs over the
 rationals and finite fields, lower-bounds how often a program in a given
 order must read a variable, and decides whether a program is the zero
-polynomial through deterministic black-box queries.
+polynomial, exactly through a span of coefficient vectors or through
+deterministic black-box queries.
 """
 
 from .abp import (
@@ -72,6 +73,7 @@ from .pit import (
     hitset_test_abp,
     level_for,
     random_probe,
+    span_test,
 )
 from .poly import SparsePoly
 from .serialize import (

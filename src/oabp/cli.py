@@ -58,9 +58,9 @@ from .pit import (
     DEFAULT_TRIALS,
     PitOptions,
     abp_oracle,
-    compose_test,
     hitset_test_abp,
     random_probe,
+    span_test,
 )
 from .poly import DEFAULT_TERM_BUDGET, SparsePoly, var_sort_key
 from .serialize import (
@@ -364,26 +364,22 @@ def _witness_views(verdict):
     w = verdict.witness
     if w is None:
         return None, None
-    if verdict.mode == "compose":
-        text = "*".join(v if e == 1 else f"{v}^{e}" for v, e in w) or "1"
-        return [[v, e] for v, e in w], text
     field = verdict.field
+    if verdict.mode == "span":
+        mono, coeff = w
+        view = {"monomial": [[v, e] for v, e in mono], "coeff": field.element_to_json(coeff)}
+        return view, str(SparsePoly(field, {mono: coeff}))
     text = "(" + ", ".join(field.element_to_text(x) for x in w) + ")"
     return [field.element_to_json(x) for x in w], text
 
 
 def cmd_pit(args):
     a = _with_order(_load_abp(args.file), args.order)
-    opts = PitOptions(
-        grid_budget=args.grid_budget,
-        term_budget=args.term_budget,
-        trials=args.trials,
-        seed=args.seed,
-    )
+    opts = PitOptions(grid_budget=args.grid_budget, trials=args.trials, seed=args.seed)
     if args.mode == "hitset":
         verdict = hitset_test_abp(a, args.read, opts)
-    elif args.mode == "compose":
-        verdict = compose_test(a, args.read, opts)
+    elif args.mode == "span":
+        verdict = span_test(a, args.read)
     else:
         verdict = random_probe(abp_oracle(a), a.num_vars, a.field, opts)
     witness_json, witness_text = _witness_views(verdict)
@@ -394,6 +390,7 @@ def cmd_pit(args):
         "witness": witness_json,
         "note": verdict.note,
         "grid": None if verdict.grid is None else list(verdict.grid),
+        "span_dim": verdict.span_dim,
     }
     lines = [f"{verdict.verdict} (mode={verdict.mode}, queries={verdict.queries})"]
     if witness_text is not None:
@@ -502,7 +499,7 @@ def _int(text: str) -> int:
 
 
 def _count(text: str) -> int:
-    """argparse type of the budget and trials flags: an integer >= 1."""
+    """argparse type of the budget, trials and read-bound flags: an integer >= 1."""
     try:
         n = _text_int(text)
     except ValueError:
@@ -564,11 +561,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("pit", cmd_pit, "zero-test a program")
     p.add_argument("file")
-    p.add_argument("--read", type=_int, required=True, help="read bound r")
-    p.add_argument("--mode", choices=("hitset", "compose", "random"), default="hitset")
+    p.add_argument("--read", type=_count, required=True, help="read bound r")
+    p.add_argument("--mode", choices=("hitset", "span", "random"), default="hitset")
     p.add_argument("--order", help="override the variable order")
     p.add_argument("--grid-budget", type=_count, dest="grid_budget")
-    p.add_argument("--term-budget", type=_count, dest="term_budget")
     p.add_argument("--trials", type=_count, default=DEFAULT_TRIALS, help="samples in random mode")
     p.add_argument("--seed", type=_int, help="seed in random mode")
 

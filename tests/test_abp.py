@@ -33,7 +33,7 @@ from oabp.families import (
 )
 from oabp.errors import BudgetError, StructureError
 from oabp.fields import extension_field, prime_field, rationals
-from oabp.pit import abp_oracle, compose_test, hitset_test_abp, random_probe
+from oabp.pit import abp_oracle, compose_test, hitset_test_abp, random_probe, span_test
 from oabp.poly import SparsePoly
 from oabp.transforms import cut_decompose, derivative_abp, obliviate
 from reference import infer_order_reference, layers_reference, renamed_reversed
@@ -205,6 +205,7 @@ def test_checked_grouping_refuses_with_validate_problems(build):
         lambda a: derivative_abp(a, 1),
         lambda a: cut_decompose(a, 1),
         lambda a: compose_test(a, 1),
+        lambda a: span_test(a, 1),
         lambda a: hitset_test_abp(a, 1),
         lambda a: random_probe(abp_oracle(a), a.num_vars, a.field),
     )

@@ -4,6 +4,8 @@ import dataclasses
 import json
 import pathlib
 import re
+import shlex
+import shutil
 import time
 import tracemalloc
 from fractions import Fraction
@@ -260,6 +262,7 @@ def test_pit_hitset_json_deterministic(capsys, fixtures_dir):
         "witness": ["-1", "2"],
         "note": None,
         "grid": [3, 2, 1, 3, 3],
+        "span_dim": None,
     }
     _, again, _ = run(
         capsys, "--json", "pit", fixtures_dir / "x1x2.abp.json", "--read", "1"
@@ -267,12 +270,38 @@ def test_pit_hitset_json_deterministic(capsys, fixtures_dir):
     assert again == out
 
 
-def test_pit_compose_witness(capsys, fixtures_dir):
+def test_pit_span_witness(capsys, fixtures_dir, tmp_path):
     code, out, _ = run(
-        capsys, "pit", fixtures_dir / "x1x2.abp.json", "--read", "1", "--mode", "compose"
+        capsys, "pit", fixtures_dir / "x1x2.abp.json", "--read", "1", "--mode", "span"
     )
+    assert (code, out) == (0, "NONZERO (mode=span, queries=0)\nwitness: x1*x2\n")
+    # x2 - 2*x1*x3: the witness is the least monomial, x2, and with the x2
+    # path gone, -2*x1*x3
+    data = {
+        **PROGRAM_HEAD, "num_vars": 3, "levels": [["s"], ["a", "b"], ["c", "d"], ["t"]],
+        "edges": [
+            {"from": "s", "to": "a", "label": {"var": 1}},
+            {"from": "a", "to": "c", "label": {"const": "-2"}},
+            {"from": "c", "to": "t", "label": {"var": 3}},
+            {"from": "s", "to": "b", "label": {"const": "1"}},
+            {"from": "b", "to": "d", "label": {"var": 2}},
+            {"from": "d", "to": "t", "label": {"const": "1"}},
+        ],
+    }
+    path = tmp_path / "p.abp.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "pit", path, "--read", "1", "--mode", "span")
+    assert (code, out) == (0, "NONZERO (mode=span, queries=0)\nwitness: x2\n")
+    data["edges"] = data["edges"][:3]
+    path.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "pit", path, "--read", "1", "--mode", "span")
+    assert (code, out) == (0, "NONZERO (mode=span, queries=0)\nwitness: -2*x1*x3\n")
+    code, out, _ = run(capsys, "--json", "pit", path, "--read", "1", "--mode", "span")
     assert code == 0
-    assert out == "NONZERO (mode=compose, queries=0)\nwitness: z1*z2\n"
+    assert json.loads(out) == {
+        "verdict": "NONZERO", "mode": "span", "queries": 0, "note": None, "grid": None,
+        "witness": {"monomial": [[1, 1], [3, 1]], "coeff": "-2"}, "span_dim": 1,
+    }
 
 
 def test_pit_zero_program(capsys, fixtures_dir):
@@ -284,7 +313,7 @@ def test_pit_zero_program(capsys, fixtures_dir):
     assert code == 2
 
 
-@pytest.mark.parametrize("mode", ["hitset", "compose", "random"])
+@pytest.mark.parametrize("mode", ["hitset", "span", "random"])
 def test_pit_answers_a_program_over_no_variables(capsys, tmp_path, mode):
     const = tmp_path / "c0.abp.json"
     const.write_text(json.dumps({
@@ -293,11 +322,12 @@ def test_pit_answers_a_program_over_no_variables(capsys, tmp_path, mode):
     code, out, err = run(capsys, "--json", "pit", const, "--read", "1", "--mode", mode)
     assert (code, err) == (0, "")
     payload = json.loads(out)
-    assert (payload["verdict"], payload["witness"]) == ("NONZERO", [])
-    # the empty monomial of compose spells as 1, the empty point as ()
+    want = {"monomial": [], "coeff": "3"} if mode == "span" else []
+    assert (payload["verdict"], payload["witness"]) == ("NONZERO", want)
+    # span's witness is the constant itself, the empty point spells as ()
     code, out, err = run(capsys, "pit", const, "--read", "1", "--mode", mode)
     assert (code, err) == (0, "")
-    assert out.splitlines()[1] == ("witness: 1" if mode == "compose" else "witness: ()")
+    assert out.splitlines()[1] == ("witness: 3" if mode == "span" else "witness: ()")
 
 
 def test_validate_and_pit_spell_a_refused_order_alike(capsys, tmp_path):
@@ -332,7 +362,7 @@ def test_pit_wrong_order_refused_in_both_exact_modes(capsys, fixtures_dir):
     ):
         runs = [
             run(capsys, "pit", fixtures_dir / args[0], *args[1:], "--mode", mode)
-            for mode in ("hitset", "compose")
+            for mode in ("hitset", "span")
         ]
         assert runs[0] == runs[1]
         assert runs[0] == (2, "", f"error: {message}\n")
@@ -354,10 +384,10 @@ def test_pit_wrong_order_refused_in_both_exact_modes(capsys, fixtures_dir):
         ["eval", "--point", "1"],
         ["expand"],
         ["pit", "--read", "1", "--mode", "hitset"],
-        ["pit", "--read", "1", "--mode", "compose"],
+        ["pit", "--read", "1", "--mode", "span"],
         ["pit", "--read", "1", "--mode", "random"],
     ],
-    ids=["stats", "eval", "expand", "pit-hitset", "pit-compose", "pit-random"],
+    ids=["stats", "eval", "expand", "pit-hitset", "pit-span", "pit-random"],
 )
 def test_commands_refuse_an_invalid_program(capsys, tmp_path, command, levels, to, problem):
     bad = tmp_path / "bad.abp.json"
@@ -371,7 +401,8 @@ def test_commands_refuse_an_invalid_program(capsys, tmp_path, command, levels, t
 
 
 def test_pit_notes_a_lifted_verdict_in_human_output(capsys, tmp_path):
-    # F_2 holds too few points for the level-1 map, so both exact modes lift
+    # F_2 holds too few points for the level-1 map, so hitset lifts; span
+    # never does
     f2 = tmp_path / "x1x2_f2.abp.json"
     f2.write_text(json.dumps({
         "field": {"kind": "prime", "p": 2},
@@ -389,12 +420,8 @@ def test_pit_notes_a_lifted_verdict_in_human_output(capsys, tmp_path):
         "witness: (1:1:0, 0:1:0)\n"
         f"note: evaluated over extension {extension}\n"
     ))
-    code, out, _ = run(capsys, "pit", f2, "--read", "1", "--mode", "compose")
-    assert (code, out) == (0, (
-        "NONZERO (mode=compose, queries=0)\n"
-        "witness: z1*z2\n"
-        f"note: composed over extension {extension}\n"
-    ))
+    code, out, _ = run(capsys, "pit", f2, "--read", "1", "--mode", "span")
+    assert (code, out) == (0, "NONZERO (mode=span, queries=0)\nwitness: x1*x2\n")
 
 
 @pytest.mark.parametrize(
@@ -412,7 +439,12 @@ def test_an_order_of_the_wrong_length_is_refused(capsys, fixtures_dir, command):
 def test_pit_grid_budget_exceeded(capsys, fixtures_dir):
     code, _, err = run(capsys, "pit", fixtures_dir / "symm_4_2.abp.json", "--read", "2")
     assert code == 2
-    assert "compose mode avoids the grid" in err
+    assert err.endswith("; span mode needs no grid\n")
+    # the mode it names answers
+    code, out, _ = run(
+        capsys, "pit", fixtures_dir / "symm_4_2.abp.json", "--read", "2", "--mode", "span"
+    )
+    assert (code, out) == (0, "NONZERO (mode=span, queries=0)\nwitness: x1*x2\n")
 
 
 def test_pit_random_mode(capsys, fixtures_dir):
@@ -767,9 +799,6 @@ def test_config_env_var(capsys, fixtures_dir, tmp_path, monkeypatch):
         ("term_budget", 2, ["equal", "symm_3_2.abp.json", "symm_3_2.poly.json"],
          ["equal", "symm_3_2.abp.json", "symm_3_2.poly.json", "--term-budget", "2"],
          ["equal", "symm_3_2.abp.json", "symm_3_2.poly.json", "--term-budget", "1000"]),
-        ("term_budget", 2, ["pit", "symm_3_2.abp.json", "--read", "2", "--mode", "compose"],
-         ["pit", "symm_3_2.abp.json", "--read", "2", "--mode", "compose", "--term-budget", "2"],
-         ["pit", "symm_3_2.abp.json", "--read", "2", "--mode", "compose", "--term-budget", "1000"]),
         ("term_budget", 2, ["gen", "--k", "2", "--r", "1"], None, None),  # gen has no flag
         ("grid_budget", 50, ["pit", "x1x2.abp.json", "--read", "1"],
          ["pit", "x1x2.abp.json", "--read", "1", "--grid-budget", "50"],
@@ -789,7 +818,7 @@ def test_config_env_var(capsys, fixtures_dir, tmp_path, monkeypatch):
         # no flag asks for human output, so nothing can win over "json"
         ("output", "json", ["stats", "x1x2.abp.json"], ["--json", "stats", "x1x2.abp.json"], None),
     ],
-    ids=["expand-term_budget", "equal-term_budget", "pit-compose-term_budget", "gen-term_budget",
+    ids=["expand-term_budget", "equal-term_budget", "gen-term_budget",
          "pit-grid_budget", "pit-random-seed", "family-fullrank-seed", "gen-field",
          "family-field", "stats-output"],
 )
@@ -872,10 +901,11 @@ def test_config_example_fixture_loads(capsys, fixtures_dir):
         ("pit", "x1x2.abp.json", "--read", "1", "--mode", "random", "--trials", "0"),
         ("pit", "x1x2.abp.json", "--read", "1", "--mode", "random", "--trials", "-3"),
         ("pit", "x1x2.abp.json", "--read", "1", "--grid-budget", "0"),
-        ("pit", "x1x2.abp.json", "--read", "1", "--mode", "compose", "--term-budget", "0"),
+        ("pit", "x1x2.abp.json", "--read", "0"),
         ("expand", "x1x2.abp.json", "--budget", "0"),
         ("expand", "x1x2.abp.json", "--budget", "1.5"),
         ("equal", "x1x2.abp.json", "x1x2.abp.json", "--term-budget", "0"),
+        ("pit", "x1x2.abp.json", "--read", "-1", "--mode", "random"),
     ],
 )
 def test_count_flags_want_an_integer_of_at_least_one(capsys, fixtures_dir, args):
@@ -923,3 +953,29 @@ def test_usage_errors_exit_one(capsys, fixtures_dir):
     code, _, err = run(capsys, "stats", fixtures_dir / "x1x2.abp.json", "--json")
     assert code == 1
     assert "unrecognized arguments" in err
+
+
+# -- README ---------------------------------------------------------------------
+
+
+def readme_commands(readme: str) -> list[list[str]]:
+    """The arguments of every `oabp ...` line of README's sh blocks, in order,
+    without the trailing comments."""
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", readme, re.S):
+        for line in block.splitlines():
+            if line.startswith("oabp "):
+                commands.append(shlex.split(line, comments=True)[1:])
+    return commands
+
+
+def test_readme_command_examples_run(capsys, fixtures_dir, tmp_path, monkeypatch):
+    # the examples name fixtures/ relative to the repository and write their
+    # -o files beside it, and a later line reads what an earlier one wrote
+    shutil.copytree(fixtures_dir, tmp_path / "fixtures")
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands((fixtures_dir.parent / "README.md").read_text())
+    assert len(commands) == 19
+    for args in commands:
+        code, _, err = run(capsys, *args)
+        assert (code, err) == (0, ""), args

@@ -30,10 +30,7 @@ COMMANDS = (
     ("eval",),
     ("expand",),
     ("pit", "--read", "1", "--mode", "hitset"),
-    # at the default term budget, compose on ordersep_2 spends 2.4 to 3.0 s
-    # (2 vCPU, CPython 3.11) before its BudgetError, too slow for CASES
-    # mutants; a small budget keeps every refusal quick
-    ("pit", "--read", "1", "--mode", "compose", "--term-budget", "1000"),
+    ("pit", "--read", "1", "--mode", "span"),
     ("rank",),
     ("obliviate",),
 )

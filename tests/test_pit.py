@@ -1,12 +1,14 @@
-"""Identity testing: hitset grid, exact composition, random probing."""
+"""Identity testing: exact span, hitset grid, random probing, and the
+composition audit of the generator."""
 
+import random
 import time
 from dataclasses import replace
 from fractions import Fraction
 from math import prod
 
 import pytest
-from reference import over_prime
+from reference import over_prime, renamed_shuffled
 
 import oabp.abp
 import oabp.generator
@@ -15,18 +17,22 @@ import oabp.transforms
 from oabp.abp import (
     Abp,
     ConstLabel,
+    Edge,
     Permutation,
     VarLabel,
     expand,
     lift_constants,
     make_abp,
     resolve_order,
+    stats,
     zero_abp,
 )
-from oabp.corpus import standard_corpus
+from oabp.corpus import cancel_pair, odd_variable_corpus, random_ordered_abp, standard_corpus
 from oabp.errors import BudgetError, FieldError, StructureError
+from oabp.families import elementary_symmetric_abp, ryser_permanent_abp
 from oabp.fields import extension_field, prime_field, rationals
 from oabp.generator import GeneratorParams, build_generator
+from oabp.linalg import SpanBuilder
 from oabp.pit import (
     PitOptions,
     abp_oracle,
@@ -37,6 +43,7 @@ from oabp.pit import (
     level_for,
     random_probe,
     seed_grid_size,
+    span_test,
 )
 from oabp.poly import SparsePoly
 from oabp.serialize import abp_loads
@@ -85,7 +92,7 @@ def test_level_for():
 
 def test_seed_grid_size_default_and_component_bound():
     assert seed_grid_size(2, 1, PitOptions()) == (1, 3, 54)
-    with pytest.raises(BudgetError, match="compose mode avoids the grid"):
+    with pytest.raises(BudgetError, match="span mode needs no grid"):
         seed_grid_size(2, 1, PitOptions(grid_budget=53))
 
 
@@ -94,7 +101,7 @@ def test_seed_grid_size_refuses_a_huge_variable_count_before_per_slot_bounds(mon
         raise AssertionError("_slot_degrees called")
 
     monkeypatch.setattr(oabp.generator, "_slot_degrees", no_slots)
-    with pytest.raises(BudgetError, match="compose mode avoids the grid") as info:
+    with pytest.raises(BudgetError, match="span mode needs no grid") as info:
         seed_grid_size(2**20, 1, PitOptions())
     assert "at least 1048577^20 points" in str(info.value)
 
@@ -108,17 +115,34 @@ def test_seed_grid_size_per_seed():
 
 def test_hitset_and_compose_refuse_a_wrong_order_alike():
     wrong_order = replace(x1x2(), order=Permutation.from_sequence([2, 1]))
+    # one path reads x1 then x2, the other x2 then x1
+    crossed = make_abp(
+        Q, 2, [["s"], ["a", "b"], ["t"]],
+        [("s", "a", VarLabel(1)), ("a", "t", VarLabel(2)),
+         ("s", "b", VarLabel(2)), ("b", "t", VarLabel(1))],
+    )
     # doubled_x1x2 reads each variable twice, over the promised read bound 1
     for program, expected in (
         (wrong_order, "program does not respect the order [2, 1]"),
+        (crossed, "program respects no variable order"),
         (doubled_x1x2(Q), "program reads a variable 2 times, over the read bound 1"),
     ):
         messages = []
-        for test in (hitset_test_abp, compose_test):
+        for test in (span_test, hitset_test_abp, compose_test):
             with pytest.raises(StructureError) as info:
                 test(program, 1)
             messages.append(str(info.value))
-        assert messages[0] == messages[1] == expected
+        assert messages == [expected] * 3
+
+
+@pytest.mark.parametrize("r", [0, -1])
+def test_every_exact_mode_refuses_a_read_bound_below_one(r):
+    # a constant reads no variable, so no read count can refuse it first
+    const = make_abp(Q, 0, [["s"], ["t"]], [("s", "t", ConstLabel(Fraction(3)))])
+    for program in (const, x1x2()):
+        for test in (span_test, hitset_test_abp, compose_test):
+            with pytest.raises(StructureError, match=rf"^the read bound must be at least 1, got {r}$"):
+                test(program, r)
 
 
 # frozen run: x1*x2 over the rationals, read bound 1
@@ -192,19 +216,27 @@ def test_order_resolution_groups_the_program_once(monkeypatch):
         calls.clear()
         obliviate(a)
         assert len(calls) == 1, a.order
+        calls.clear()
+        span_test(a, 2)
+        assert len(calls) == 1, a.order
 
 
-def test_hitset_grid_budget_error_mentions_compose(monkeypatch):
+def test_hitset_grid_budget_error_points_at_span(monkeypatch, fixtures_dir):
     with pytest.raises(BudgetError) as info:
         hitset_test(abp_oracle(x1x2()), 2, 1, Q, opts=PitOptions(grid_budget=50))
-    assert "compose" in str(info.value)
+    assert str(info.value).endswith("; span mode needs no grid")
+    # and span mode answers what the default grid budget refuses
+    a = abp_loads((fixtures_dir / "ordersep_2.abp.json").read_text())
+    with pytest.raises(BudgetError, match="span mode needs no grid"):
+        hitset_test_abp(a, 1)
+    assert span_test(a, 1).verdict == "NONZERO"
 
     # the grid is sized before a working field is chosen, so F2 is never extended
     def no_field(*args):
         raise AssertionError("ensure_field called")
 
     monkeypatch.setattr(oabp.pit, "ensure_field", no_field)
-    with pytest.raises(BudgetError, match="compose mode avoids the grid"):
+    with pytest.raises(BudgetError, match="span mode needs no grid"):
         hitset_test_abp(x1x2(prime_field(2)), 1, PitOptions(grid_budget=50))
 
 
@@ -262,15 +294,20 @@ def test_a_program_over_no_variables_gets_an_exact_verdict(field):
         assert (hit.queries, hit.grid) == (1, (1,))
         for v in (hit, compose_test(a, 1), random_probe(abp_oracle(a), 0, field)):
             assert (v.verdict, v.witness) == (verdict, witness), v.mode
+        # span's witness is the constant monomial with its coefficient
+        span = span_test(a, 1)
+        want = None if witness is None else ((), field.from_int(3))
+        assert (span.verdict, span.witness) == (verdict, want)
 
 
-def test_compose_term_budget_reaches_the_generator_build(fixtures_dir):
+def test_compose_term_budget_reaches_the_generator_build(fixtures_dir, monkeypatch):
     # five variables need the level-3, read-2 map, whose build outgrows a
     # small budget long before the default one
     a = abp_loads((fixtures_dir / "ordersep_2.abp.json").read_text())
+    monkeypatch.setattr(oabp.pit, "DEFAULT_TERM_BUDGET", 1000)
     start = time.perf_counter()
     with pytest.raises(BudgetError, match=r"exceeds term budget 1000$"):
-        compose_test(a, 2, PitOptions(term_budget=1000))
+        compose_test(a, 2)
     assert time.perf_counter() - start < 1.0
 
 
@@ -301,6 +338,9 @@ def test_char_two_cancellation_is_zero():
     assert v.verdict == "ZERO"
     assert v.note is not None and "extension" in v.note
     assert compose_test(a, 2).verdict == "ZERO"
+    # span never lifts: it decides over F_2 itself
+    span = span_test(a, 2)
+    assert (span.verdict, span.note, span.field) == ("ZERO", None, a.field)
     # the same shape over the rationals is honestly nonzero
     assert hitset_test_abp(doubled_x1x2(Q), 2).verdict == "NONZERO"
 
@@ -356,12 +396,14 @@ def test_hitset_and_compose_agree_on_corpus_sample():
     for name, a, r in cases:
         truth = "ZERO" if expand(a).is_zero else "NONZERO"
         got = hitset_test_abp(a, r)
-        ref = compose_test(a, r)
-        assert got.verdict == ref.verdict == truth, name
+        audit = compose_test(a, r)
+        ref = span_test(a, r)
+        assert got.verdict == audit.verdict == ref.verdict == truth, name
         # random mode may miss a nonzero program, never invent one
         assert truth == "NONZERO" or random_probe(abp_oracle(a), 2, a.field).verdict == "ZERO", name
         zeros += truth == "ZERO"
-        lifted += got.note is not None and ref.note is not None
+        lifted += got.note is not None and audit.note is not None
+        assert ref.note is None, name
     assert 0 < zeros < len(cases)
     assert lifted == len(cases) - len(members)
     assert zeros > sum(m.zero is True for m in members)  # some member cancels mod p
@@ -396,3 +438,137 @@ def test_hitset_matches_expansion_on_every_two_variable_member():
                 got.verdict, got.queries, got.witness
             ), name
     assert 0 < zeros < 3 * len(two_var)
+
+
+# -- span mode: the exact reference ------------------------------------------
+
+
+def assert_span_matches_expansion(a, r, name):
+    """span_test(a, r) against expand: the same verdict, and a NONZERO
+    witness is the expansion's least monomial with its exact coefficient."""
+    v = span_test(a, r)
+    truth = expand(a)
+    assert (v.verdict == "ZERO") == truth.is_zero, name
+    assert (v.mode, v.queries, v.note, v.field, v.grid) == ("span", 0, None, a.field, None), name
+    if v.verdict == "NONZERO":
+        mono, coeff = v.witness
+        assert mono == truth.least_monomial(), name
+        assert truth.terms[mono] == coeff, name
+    return v
+
+
+def test_span_matches_expansion_on_both_corpora_and_their_cancel_pairs():
+    nonzero = 0
+    for corpus in (standard_corpus(), odd_variable_corpus()):
+        for m in corpus:
+            v = assert_span_matches_expansion(m.abp, m.read_bound, m.name)
+            nonzero += v.verdict == "NONZERO"
+            pair = cancel_pair(m.abp, "c")
+            assert assert_span_matches_expansion(pair, 2 * m.read_bound, m.name).verdict == "ZERO"
+    assert nonzero == 214
+
+
+@pytest.mark.parametrize("p", [2, 3, 10007])
+def test_span_matches_expansion_on_seeded_programs_of_read_up_to_three(p):
+    field = prime_field(p)
+    rng = random.Random(p)
+    reads = []
+    for i in range(100):
+        a = random_ordered_abp(field, rng.randint(5, 8), rng.randint(1, 3), rng)
+        reads.append(stats(a).read)
+        assert_span_matches_expansion(a, reads[-1], (p, i))
+        assert_span_matches_expansion(cancel_pair(a, "c"), 2 * reads[-1], (p, i, "pair"))
+    assert set(reads) == {1, 2, 3}
+
+
+def test_span_decides_what_no_other_exact_mode_decides(fixtures_dir):
+    # hitset refuses both grids; the parent's compose mode ran out of budget
+    # on the first and for over 40 s on the second
+    ordersep = abp_loads((fixtures_dir / "ordersep_2.abp.json").read_text())
+    wide = replace(x1x2(), num_vars=9)
+    for a, r, witness in (
+        (ordersep, 1, (((1, 1), (2, 1), (4, 1)), Fraction(1))),
+        (ordersep, 3, (((1, 1), (2, 1), (4, 1)), Fraction(1))),
+        (wide, 1, (((1, 1), (2, 1)), Fraction(1))),
+    ):
+        start = time.perf_counter()
+        v = span_test(a, r)
+        assert time.perf_counter() - start < 2.0
+        assert (v.verdict, v.witness) == ("NONZERO", witness)
+        assert expand(a).terms[witness[0]] == witness[1]
+        with pytest.raises(BudgetError, match="span mode needs no grid"):
+            hitset_test_abp(a, r)
+
+
+@pytest.mark.parametrize(
+    "name, build, span_dim",
+    [
+        ("symm_48_6", lambda: elementary_symmetric_abp(48, 6), 7),
+        ("ryser_5", lambda: ryser_permanent_abp(5), 49),
+    ],
+    ids=["symm_48_6", "ryser_5"],
+)
+def test_span_decides_the_large_families_and_their_cancel_pairs(name, build, span_dim):
+    a = build()
+    r = stats(a).read
+    for program, read, verdict in ((a, r, "NONZERO"), (cancel_pair(a, "c"), 2 * r, "ZERO")):
+        start = time.perf_counter()
+        v = span_test(program, read)
+        assert time.perf_counter() - start < 2.0, name
+        assert v.verdict == verdict, name
+    assert span_test(a, r).span_dim == span_dim
+
+
+def test_span_witness_ignores_node_names_and_edge_order():
+    rng = random.Random(5)
+    for m in standard_corpus()[::7] + odd_variable_corpus():
+        v = span_test(m.abp, m.read_bound)
+        for _ in range(2):
+            w = span_test(renamed_shuffled(m.abp, rng), m.read_bound)
+            assert (w.verdict, w.witness, w.span_dim) == (v.verdict, v.witness, v.span_dim), m.name
+
+
+def node_polynomials(a):
+    """The polynomial of the source-to-v paths for every node v: a plain
+    forward pass over the edges in level order."""
+    level = {v: i for i, lvl in enumerate(a.levels) for v in lvl}
+    polys = {a.source: SparsePoly.const(a.field, a.field.one())}
+    for e in sorted(a.edges, key=lambda e: level[e.src]):
+        label = e.label
+        factor = (
+            SparsePoly.variable(a.field, label.index)
+            if isinstance(label, VarLabel)
+            else SparsePoly.const(a.field, label.value)
+        )
+        term = polys.get(e.src, SparsePoly.zero(a.field)) * factor
+        polys[e.dst] = polys.get(e.dst, SparsePoly.zero(a.field)).add(term)
+    return polys
+
+
+def test_every_span_candidate_is_its_monomials_coefficient_vector(monkeypatch):
+    # the invariant the witness rests on: a vector tagged M holds, at each
+    # node it keeps, M's coefficient in that node's polynomial, never an
+    # echelon residual
+    inserted = []
+
+    class Recording(SpanBuilder):
+        def insert(self, vec, tag):
+            inserted.append((tag, dict(vec)))
+            return super().insert(vec, tag)
+
+    monkeypatch.setattr(oabp.pit, "SpanBuilder", Recording)
+    rng = random.Random(7)
+    programs = [(m.abp, m.read_bound) for m in standard_corpus()[::4] + odd_variable_corpus()]
+    for _ in range(40):
+        a = random_ordered_abp(prime_field(3), rng.randint(5, 8), rng.randint(1, 3), rng)
+        programs.append((a, stats(a).read))
+    checked = 0
+    for a, r in programs:
+        inserted.clear()
+        span_test(a, r)
+        polys = node_polynomials(a)
+        for mono, vec in inserted:
+            for v, c in vec.items():
+                assert polys[v].terms.get(mono) == c, (mono, v)
+                checked += 1
+    assert checked > 1000

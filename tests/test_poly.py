@@ -13,7 +13,7 @@ from oabp.corpus import standard_corpus
 from oabp.errors import BudgetError, StructureError
 from oabp.fields import prime_field, rationals
 from oabp.generator import GeneratorParams, build_generator
-from oabp.pit import PitOptions, _working_program, level_for
+from oabp.pit import _working_program, level_for
 from oabp.poly import DEFAULT_TERM_BUDGET, SparsePoly, mono_mul, mono_sort_key, var_sort_key
 from oabp.serialize import poly_from_json
 
@@ -199,7 +199,7 @@ def corpus_compositions(field):
     over field, gated as compose_test gates it: F_3 lifts to an extension."""
     for m in standard_corpus():
         a = m.abp if field == Q else over_prime(m.abp, field)
-        prog, pi = _working_program(a, m.read_bound, PitOptions())
+        prog, pi = _working_program(a, m.read_bound)
         params = GeneratorParams(level_for(a.num_vars), m.read_bound, prog.field)
         gen = build_generator(params)
         yield m.name, expand(prog), {i: gen[pi.rank(i) - 1] for i in range(1, a.num_vars + 1)}
