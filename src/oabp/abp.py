@@ -38,7 +38,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 from .errors import BudgetError, StructureError
 from .fields import Field
-from .poly import DEFAULT_TERM_BUDGET, SparsePoly
+from .poly import DEFAULT_TERM_BUDGET, SparsePoly, mono_mul
 
 
 @dataclass(frozen=True)
@@ -276,13 +276,19 @@ def _sweep(
 
 
 def _poly_transfer(f: Field) -> Callable:
-    """Sweep transfer on polynomials: multiply by the edge label."""
+    """Sweep transfer on polynomials: multiply by the edge label.
+
+    A variable edge only shifts monomials: m -> m * x_i is injective, even
+    when m already holds x_i, so no two terms meet, nothing cancels, and no
+    field operation runs.
+    """
 
     def transfer(p: SparsePoly, label):
         if p.is_zero:
             return None
         if isinstance(label, VarLabel):
-            return p.mul(SparsePoly.variable(f, label.index))
+            x = ((label.index, 1),)
+            return SparsePoly._from_nonzero(f, {mono_mul(m, x): c for m, c in p.terms.items()})
         return p.scale(label.value)
 
     return transfer

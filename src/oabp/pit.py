@@ -185,12 +185,17 @@ def _gate(a: Abp, layers: list[list[Edge]], r: int) -> Permutation:
     more than r times (no mode covers either).
     """
     pi = _resolved(a, layers)
-    if r < 1:
-        raise StructureError(f"the read bound must be at least 1, got {r}")
+    _check_read_bound(r)
     read = stats(a).read
     if read > r:
         raise StructureError(f"program reads a variable {read} times, over the read bound {r}")
     return pi
+
+
+def _check_read_bound(r: int) -> None:
+    """Refuse a read bound below 1, which no mode covers."""
+    if r < 1:
+        raise StructureError(f"the read bound must be at least 1, got {r}")
 
 
 def _working_program(
@@ -257,6 +262,7 @@ def hitset_test(
         pi = Permutation.identity(n)
     if pi.n != n:
         raise StructureError(f"order over {pi.n} variables, oracle has {n}")
+    _check_read_bound(r)
     k, per_coord, _total = seed_grid_size(n, r, opts)
     work_field = ensure_field(field, max(points_needed(k, r), per_coord))
     return _query_grid(oracle, pi, r, work_field, work_field is not field)

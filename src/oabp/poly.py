@@ -23,13 +23,21 @@ the copy and zero filter of the constructor: a field has no zero divisors, so
 those results hold no zero coefficient.  scale by a value that is not a
 field element (an int the field's operations reduce, such as 3 over F_3)
 keeps the filter.  add and mul can cancel, so they keep a zero filter: add
-checks each sum it forms, mul goes through the constructor.
+checks each sum it forms, mul drops the zero sums once its products are in.
 
-compose alone works on another spelling: monomials packed into ints, one bit
-field per seed variable under a field for the total degree, and over Q
-integer coefficients.  Its result keeps those packed keys and answers
-is_zero, num_terms and least_monomial from them; the first read of its
-terms spells every key once, as above, and caches the spelling.
+Over Q, sum_of_products (which mul runs on) and compose run on ints, not
+Fractions: _cleared writes an operand's coefficients as integer numerators
+over the lcm of their denominators, the kernel multiplies and adds those
+ints, and one Fraction is built per term of the result.  The int
+coefficients are the rational ones times one nonzero constant, so the same
+terms cancel and the result is the same polynomial, term for term and in
+the same order.
+
+compose alone also works on another spelling: monomials packed into ints,
+one bit field per seed variable under a field for the total degree.  Its
+result keeps those packed keys and answers is_zero, num_terms and
+least_monomial from them; the first read of its terms spells every key
+once, as above, and caches the spelling.
 """
 
 from __future__ import annotations
@@ -99,6 +107,54 @@ def mono_degree(m: Mono) -> int:
 def mono_sort_key(m: Mono) -> tuple:
     """Graded order: total degree first, then variable-wise lexicographic."""
     return (mono_degree(m), tuple((var_sort_key(v), e) for v, e in m))
+
+
+def _cleared(coeffs: Iterable) -> tuple[int, list[int]]:
+    """Rational coefficients over one denominator: (L, [c * L for each c]),
+    for L the lcm of their denominators (1 when there are none)."""
+    coeffs = list(coeffs)
+    lcm = math.lcm(*(c.denominator for c in coeffs))
+    return lcm, [c.numerator * (lcm // c.denominator) for c in coeffs]
+
+
+def sum_of_products(field: Field, pairs: list[tuple["SparsePoly", "SparsePoly"]]) -> "SparsePoly":
+    """The sum of p * q over the pairs, every p and q over field, in one
+    accumulator: terms in the order the products first form them, the sums
+    that cancel dropped at the end.
+
+    Over Q the kernel runs on ints.  With p's numerators over L_p and q's
+    over L_q (_cleared), and D the lcm of every L_p * L_q, a pair adds
+    D / (L_p * L_q) * n_p * n_q for each product of terms; so each sum is
+    its Fraction sum times D, the same monomials cancel, and one Fraction is
+    built per term of the result.
+    """
+    for p, q in pairs:
+        if p.field != field or q.field != field:
+            raise StructureError("mixed fields in polynomial arithmetic")
+    rational = isinstance(field, RationalField)
+    if rational:
+        cleared = [(_cleared(p.terms.values()), _cleared(q.terms.values())) for p, q in pairs]
+        denom = math.lcm(*(d1 * d2 for (d1, _), (d2, _) in cleared))
+        work = [
+            (zip(p.terms, [denom // (d1 * d2) * n for n in nums1]), list(zip(q.terms, nums2)))
+            for (p, q), ((d1, nums1), (d2, nums2)) in zip(pairs, cleared)
+        ]
+        mul, add = operator.mul, operator.add
+    else:
+        work = [(p.terms.items(), list(q.terms.items())) for p, q in pairs]
+        mul, add = field.mul, field.add
+    acc: dict = {}
+    get = acc.get
+    for left, right in work:
+        for m1, c1 in left:
+            for m2, c2 in right:
+                m = mono_mul(m1, m2)
+                c = mul(c1, c2)
+                prev = get(m)
+                acc[m] = c if prev is None else add(prev, c)
+    if rational:
+        return SparsePoly._from_nonzero(field, {m: Fraction(c, denom) for m, c in acc.items() if c})
+    return SparsePoly(field, acc)
 
 
 class SparsePoly:
@@ -220,24 +276,14 @@ class SparsePoly:
         return SparsePoly(f, terms)  # an unreduced c, such as 3 over F_3, may be zero
 
     def mul(self, other: "SparsePoly", budget: int | None = None) -> "SparsePoly":
-        self._check_same_field(other)
-        f = self.field
+        """Product; BudgetError before any work when the operands' term counts
+        multiply past budget."""
         if budget is not None and self.num_terms * other.num_terms > budget:
             raise BudgetError(
                 f"product of {self.num_terms} x {other.num_terms} terms "
                 f"exceeds term budget {budget}"
             )
-        fmul, fadd = f.mul, f.add
-        acc: dict = {}
-        get = acc.get
-        right = list(other.terms.items())
-        for m1, c1 in self.terms.items():
-            for m2, c2 in right:
-                m = mono_mul(m1, m2)
-                c = fmul(c1, c2)
-                prev = get(m)
-                acc[m] = c if prev is None else fadd(prev, c)
-        return SparsePoly(f, acc)
+        return sum_of_products(self.field, [(self, other)])
 
     def pow_int(self, e: int, budget: int | None = None) -> "SparsePoly":
         if e < 0:
@@ -376,17 +422,14 @@ class SparsePoly:
         ordered = sorted(self.terms.items(), key=lambda it: mono_sort_key(it[0]))
         rational = isinstance(f, RationalField)
         if rational:
-            lcm = {v: math.lcm(*(c.denominator for c in g.terms.values())) for v, g in used.items()}
-            packed = {
-                v: {pack(m): c.numerator * (lcm[v] // c.denominator) for m, c in g.terms.items()}
-                for v, g in used.items()
-            }
-            weights = [
+            lcm, packed = {}, {}
+            for v, g in used.items():
+                lcm[v], nums = _cleared(g.terms.values())
+                packed[v] = dict(zip(map(pack, g.terms), nums))
+            denom, coeffs = _cleared(
                 Fraction(c.numerator, c.denominator * math.prod(lcm[v] ** e for v, e in m))
                 for m, c in ordered
-            ]
-            denom = math.lcm(*(w.denominator for w in weights))
-            coeffs = [w.numerator * (denom // w.denominator) for w in weights]
+            )
             mul, add, zero, one = operator.mul, operator.add, 0, 1
         else:
             packed = {v: {pack(m): c for m, c in g.terms.items()} for v, g in used.items()}
@@ -424,12 +467,17 @@ class SparsePoly:
             return got
 
         def prefix_product(mono: Mono) -> dict:
-            got = prefix_cache.get(mono)
-            if got is None:
-                head = prefix_product(mono[:-1])
-                v, e = mono[-1]
-                got = product(head, img_power(v, e))
-                prefix_cache[mono] = got
+            # extends the longest cached prefix; a closure calling itself
+            # would be a reference cycle, keeping both caches alive after
+            # compose returns until the cyclic garbage collector runs
+            i = len(mono)
+            while mono[:i] not in prefix_cache:
+                i -= 1
+            got = prefix_cache[mono[:i]]
+            for j in range(i, len(mono)):
+                v, e = mono[j]
+                got = product(got, img_power(v, e))
+                prefix_cache[mono[:j + 1]] = got
             return got
 
         total: dict = {}

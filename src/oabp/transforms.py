@@ -33,7 +33,7 @@ from .abp import (
 )
 from .errors import StructureError
 from .linalg import SpanBuilder
-from .poly import SparsePoly, mono_sort_key
+from .poly import SparsePoly, mono_sort_key, sum_of_products
 
 
 def _const_path_weights(
@@ -215,12 +215,10 @@ class Decomposition:
         return len(self.left)
 
     def total(self) -> SparsePoly:
+        """The represented polynomial, by poly.sum_of_products."""
         if not self.left:
             raise StructureError("empty decomposition")
-        acc = SparsePoly.zero(self.left[0].field)
-        for p, q in zip(self.left, self.right):
-            acc = acc.add(p.mul(q))
-        return acc
+        return sum_of_products(self.left[0].field, list(zip(self.left, self.right)))
 
 
 def cut_decompose(a: Abp, level: int) -> Decomposition:
@@ -272,6 +270,13 @@ def reduce_independent(dec: Decomposition) -> Decomposition:
     lefts; phase two drops a zero right as dependent (its combination is
     empty), and each left it keeps is a phase-one left plus multiples of
     the other phase-one lefts, nonzero by their independence.
+
+    Over Q the span eliminates fraction-free on ints (linalg), and the
+    combinations it returns, unique since the kept entries are independent,
+    are exact Fractions.  Two fault checks bracket the work: a decomposition
+    that sums to zero is refused, and the result must represent the same
+    polynomial.  Both read Decomposition.total(), which sums the products
+    in one accumulator, on ints over Q (poly.sum_of_products).
     """
     if not dec.left or len(dec.left) != len(dec.right):
         raise StructureError("decomposition lists must be nonempty and aligned")
@@ -302,6 +307,6 @@ def reduce_independent(dec: Decomposition) -> Decomposition:
     left1, right1 = one_phase(dec.left, dec.right)
     right2, left2 = one_phase(right1, left1)
     out = Decomposition(left2, right2, cut_level=dec.cut_level)
-    if out.total() != total:  # pragma: no cover - algebraic identity
+    if out.total() != total:  # a fault check: the reduction keeps the sum
         raise StructureError("reduction changed the represented polynomial")
     return out

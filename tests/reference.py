@@ -280,23 +280,69 @@ def mono_mul_reference(m1, m2):
     return tuple(sorted(merged.items(), key=lambda it: var_sort_key(it[0])))
 
 
+def mul_reference(p, q, budget=None):
+    """p * q by schoolbook products in the field's own arithmetic (Fractions
+    over Q), the sum of each monomial collected in a dict, zeros dropped at
+    the end; BudgetError, as SparsePoly.mul words it, before any product."""
+    if budget is not None and p.num_terms * q.num_terms > budget:
+        raise BudgetError(
+            f"product of {p.num_terms} x {q.num_terms} terms exceeds term budget {budget}"
+        )
+    f = p.field
+    acc: dict = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            m = mono_mul_reference(m1, m2)
+            acc[m] = f.add(acc[m], f.mul(c1, c2)) if m in acc else f.mul(c1, c2)
+    return SparsePoly(f, acc)
+
+
+def expand_reference(a):
+    """The polynomial of a program as the sum over its source-to-sink paths,
+    enumerated one by one: each path's monomial collects its variables'
+    exponents, and its coefficient is the product of its constants."""
+    f = a.field
+    out_edges: dict = {}
+    for e in a.edges:
+        out_edges.setdefault(e.src, []).append(e)
+    acc: dict = {}
+
+    def walk(node, exps, coeff):
+        if node == a.sink:
+            mono = tuple(sorted(exps.items()))
+            acc[mono] = f.add(acc[mono], coeff) if mono in acc else coeff
+            return
+        for e in out_edges.get(node, ()):
+            if isinstance(e.label, VarLabel):
+                i = e.label.index
+                walk(e.dst, {**exps, i: exps.get(i, 0) + 1}, coeff)
+            else:
+                walk(e.dst, exps, f.mul(coeff, e.label.value))
+
+    walk(a.source, {}, f.one())
+    return SparsePoly(f, acc)
+
+
 def compose_reference(p, images, budget=DEFAULT_TERM_BUDGET):
-    """p with every variable replaced by its image, on SparsePoly arithmetic:
-    the partial product of each monomial prefix is cached, terms are taken in
+    """p with every variable replaced by its image, on mul_reference: the
+    partial product of each monomial prefix is cached, terms are taken in
     mono_sort_key order, and the running sum is checked against budget after
     each term, as SparsePoly.compose does on packed keys."""
     f = p.field
+    one = SparsePoly.const(f, f.one())
     for v in p.variables():
         if v not in images:
             raise StructureError(f"no image for variable {v!r}")
     power_cache: dict = {}
-    prefix_cache: dict = {(): SparsePoly.const(f, f.one())}
+    prefix_cache: dict = {(): one}
 
     def img_power(v, e):
         key = (v, e)
         got = power_cache.get(key)
         if got is None:
-            got = images[v].pow_int(e, budget=budget)
+            got = one
+            for _ in range(e):
+                got = mul_reference(got, images[v], budget)
             power_cache[key] = got
         return got
 
@@ -305,7 +351,7 @@ def compose_reference(p, images, budget=DEFAULT_TERM_BUDGET):
         if got is None:
             head = prefix_product(mono[:-1])
             v, e = mono[-1]
-            got = head.mul(img_power(v, e), budget=budget)
+            got = mul_reference(head, img_power(v, e), budget)
             prefix_cache[mono] = got
         return got
 
@@ -353,7 +399,7 @@ def pair_sum(dec) -> SparsePoly:
     """The polynomial a decomposition represents: sum of left_i * right_i."""
     total = SparsePoly.zero(dec.left[0].field)
     for l, r in zip(dec.left, dec.right):
-        total = total.add(l.mul(r))
+        total = total.add(mul_reference(l, r))
     return total
 
 

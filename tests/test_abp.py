@@ -36,7 +36,7 @@ from oabp.fields import extension_field, prime_field, rationals
 from oabp.pit import abp_oracle, compose_test, hitset_test_abp, random_probe, span_test
 from oabp.poly import SparsePoly
 from oabp.transforms import cut_decompose, derivative_abp, obliviate
-from reference import infer_order_reference, layers_reference, renamed_reversed
+from reference import expand_reference, infer_order_reference, layers_reference, renamed_reversed
 
 Q = rationals()
 
@@ -362,6 +362,60 @@ def test_expand_two_path():
     x1 = SparsePoly.variable(Q, 1)
     x2 = SparsePoly.variable(Q, 2)
     assert p == x1.mul(x2).add(x2.scale(Fraction(3)))
+
+
+def test_expand_merges_the_exponents_of_a_variable_read_again():
+    # x1 is read up to three times on one path: a variable edge must merge
+    # exponents, m * x1 with x1 in m, and two paths meet at x1^2 * x2
+    a = make_abp(
+        Q,
+        2,
+        [["s"], ["a", "b"], ["c"], ["t"]],
+        [
+            ("s", "a", VarLabel(1)),
+            ("s", "a", ConstLabel(Fraction(2, 3))),
+            ("s", "b", VarLabel(2)),
+            ("a", "c", VarLabel(1)),
+            ("b", "c", ConstLabel(Fraction(-1, 2))),
+            ("b", "c", VarLabel(1)),
+            ("c", "t", VarLabel(1)),
+            ("c", "t", ConstLabel(Fraction(5))),
+        ],
+    )
+    p = expand(a)
+    # the terms, in their order, as a sweep multiplying by x_i as a
+    # polynomial gives them: (x1 + 2/3)(x1^2 + ...) expanded level by level
+    assert list(p.terms.items()) == [
+        (((1, 3),), Fraction(1)),
+        (((1, 2),), Fraction(17, 3)),
+        (((1, 1), (2, 1)), Fraction(9, 2)),
+        (((1, 2), (2, 1)), Fraction(1)),
+        (((1, 1),), Fraction(10, 3)),
+        (((2, 1),), Fraction(-5, 2)),
+    ]
+    assert p == expand_reference(a)
+
+
+@pytest.mark.parametrize("field", [Q, prime_field(7)], ids=["Q", "F7"])
+def test_expand_equals_the_sum_over_paths_on_programs_that_read_again(field):
+    rng = random.Random(31)
+    for _ in range(40):
+        widths = [1] + [rng.randint(1, 3) for _ in range(rng.randint(1, 4))] + [1]
+        levels = [[f"n{l}_{i}" for i in range(w)] for l, w in enumerate(widths)]
+        edges = []
+        for here, there in zip(levels, levels[1:]):
+            for u in here:
+                for v in there:
+                    for _ in range(rng.randint(0, 2)):
+                        if rng.random() < 0.5:
+                            label = VarLabel(rng.randint(1, 2))
+                        elif field == Q:
+                            label = ConstLabel(Fraction(rng.randint(-4, 4), rng.randint(1, 6)))
+                        else:
+                            label = ConstLabel(field.from_int(rng.randint(0, 6)))
+                        edges.append((u, v, label))
+        a = make_abp(field, 2, levels, edges)
+        assert expand(a) == expand_reference(a), a
 
 
 def test_expand_matches_evaluate_on_corpus():

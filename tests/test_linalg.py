@@ -172,3 +172,68 @@ def test_span_builder_over_prime_field():
     combo = sb.insert({0: 3, 1: 5}, "d")
     # 3x+5y = 1*(3x+y) + 4*y
     assert combo == {"a": 1, "c": 4}
+
+
+def rational_rows(rng, m, n):
+    """m rows of n rationals with mixed denominators and signs, some of them
+    rational combinations of earlier rows, so that pivots are often
+    negative and many rows are dependent."""
+    rows = []
+    for _ in range(m):
+        if rows and rng.random() < 0.4:
+            row = [Fraction(0)] * n
+            for src in rng.sample(rows, rng.randint(1, min(3, len(rows)))):
+                c = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 12))
+                row = [a + c * b for a, b in zip(row, src)]
+        else:
+            row = [
+                Fraction(0)
+                if rng.random() < 0.3
+                else Fraction(rng.randint(-20, 20), rng.choice([1, 1, 2, 3, 4, 6, 7, 9, 10, 12]))
+                for _ in range(n)
+            ]
+        rows.append(row)
+    return rows
+
+
+def leading_columns(rows, n):
+    """The pivots of any echelon basis of the rows' span that pivots on the
+    smallest column: the columns j that some vector of the span starts at,
+    which are those where the rank of the rows cut to columns 0..j exceeds
+    that of the rows cut to columns 0..j-1, by dense_rank."""
+    ranks = [dense_rank(Q, [row[:j] for row in rows]) for j in range(n + 1)]
+    return {j for j in range(n) if ranks[j + 1] > ranks[j]}
+
+
+def test_the_fraction_free_span_over_q_matches_the_dense_reference():
+    rng = random.Random(11)
+    seen_dependent = seen_negative = 0
+    for _ in range(120):
+        m, n = rng.randint(1, 9), rng.randint(1, 8)
+        rows = rational_rows(rng, m, n)
+        sb = SpanBuilder(Q)
+        kept: list[int] = []
+        for i, row in enumerate(rows):
+            vec = {j: c for j, c in enumerate(row) if c}
+            snapshot = dict(vec)
+            combo = sb.insert(vec, i)
+            assert vec == snapshot  # the input is left as it was
+            # kept exactly when the row raises the rank of the rows so far
+            independent = dense_rank(Q, rows[: i + 1]) > dense_rank(Q, rows[:i])
+            assert (combo is None) == independent, (rows, i)
+            if combo is None:
+                kept.append(i)
+                seen_negative += min(vec) in vec and vec[min(vec)] < 0
+                continue
+            seen_dependent += 1
+            # the combination is over kept rows, in exact Fractions, and
+            # rebuilds the row exactly
+            assert set(combo) <= set(kept), (rows, i, combo)
+            assert all(type(c) is Fraction and c != 0 for c in combo.values())
+            recon = [Fraction(0)] * n
+            for tag, c in combo.items():
+                recon = [a + c * b for a, b in zip(recon, rows[tag])]
+            assert recon == row, (rows, i, combo)
+        assert sb.rank == dense_rank(Q, rows) == len(kept), rows
+        assert set(sb.rows) == leading_columns(rows, n), rows
+    assert seen_dependent > 100 and seen_negative > 50

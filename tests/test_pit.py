@@ -143,6 +143,12 @@ def test_every_exact_mode_refuses_a_read_bound_below_one(r):
         for test in (span_test, hitset_test_abp, compose_test):
             with pytest.raises(StructureError, match=rf"^the read bound must be at least 1, got {r}$"):
                 test(program, r)
+        # the bare oracle refuses with the same text, before any query
+        def oracle(point):
+            raise AssertionError("queried")
+
+        with pytest.raises(StructureError, match=rf"^the read bound must be at least 1, got {r}$"):
+            hitset_test(oracle, program.num_vars, r, Q)
 
 
 # frozen run: x1*x2 over the rationals, read bound 1

@@ -5,16 +5,24 @@ import random
 from fractions import Fraction
 
 import pytest
-from reference import compose_reference, mono_mul_reference, over_prime
+from reference import compose_reference, mono_mul_reference, mul_reference, over_prime
 
 import oabp.generator
+import oabp.poly
 from oabp.abp import expand
 from oabp.corpus import standard_corpus
 from oabp.errors import BudgetError, StructureError
 from oabp.fields import prime_field, rationals
 from oabp.generator import GeneratorParams, build_generator
 from oabp.pit import _working_program, level_for
-from oabp.poly import DEFAULT_TERM_BUDGET, SparsePoly, mono_mul, mono_sort_key, var_sort_key
+from oabp.poly import (
+    DEFAULT_TERM_BUDGET,
+    SparsePoly,
+    mono_mul,
+    mono_sort_key,
+    sum_of_products,
+    var_sort_key,
+)
 from oabp.serialize import poly_from_json
 
 Q = rationals()
@@ -126,6 +134,78 @@ def test_mul_budget():
     with pytest.raises(BudgetError):
         for i in range(1, 12):
             p = p.mul(x(i).add(const(1)), budget=500)
+
+
+def mixed_rational_poly(rng, nvars=4, nterms=6, max_exp=2):
+    """A random polynomial whose coefficients have mixed denominators."""
+    p = random_poly(Q, rng, nvars=nvars, nterms=nterms, max_exp=max_exp)
+    return SparsePoly(Q, {m: c / rng.choice((1, 2, 3, 4, 6, 7, 9, 10, 12)) for m, c in p.terms.items()})
+
+
+def test_mul_over_q_equals_the_fraction_reference():
+    rng = random.Random(29)
+    for _ in range(200):
+        p, q = mixed_rational_poly(rng), mixed_rational_poly(rng)
+        got, want = p.mul(q), mul_reference(p, q)
+        assert got == want, (p, q)
+        assert list(got.terms) == list(want.terms), (p, q)  # same insertion order
+        assert all(type(c) is Fraction and c != 0 for c in got.terms.values())
+    # a constant operand, a zero operand, and one term times many
+    p = mixed_rational_poly(rng)
+    for q in (SparsePoly.const(Q, Fraction(-5, 6)), SparsePoly.zero(Q), x(3).scale(Fraction(2, 9))):
+        assert p.mul(q) == mul_reference(p, q) and q.mul(p) == mul_reference(q, p)
+
+
+def test_mul_over_q_drops_the_coefficients_that_cancel():
+    # (x1/2 + 2/3 x2)(x1/2 - 2/3 x2): the two x1*x2 products cancel
+    p = SparsePoly(Q, {((1, 1),): Fraction(1, 2), ((2, 1),): Fraction(2, 3)})
+    q = SparsePoly(Q, {((1, 1),): Fraction(1, 2), ((2, 1),): Fraction(-2, 3)})
+    got = p.mul(q)
+    assert got.terms == {((1, 2),): Fraction(1, 4), ((2, 2),): Fraction(-4, 9)}
+    assert got == mul_reference(p, q)
+    # a product of nonzero polynomials over Q is never zero, but a sum of
+    # products can cancel to the zero polynomial, leaving no zero coefficient
+    total = sum_of_products(Q, [(p, q), (q.scale(Fraction(-3, 5)), p.scale(Fraction(5, 3)))])
+    assert total.is_zero and total.terms == {}
+
+
+@pytest.mark.parametrize("field", [Q, prime_field(7)], ids=["Q", "F7"])
+def test_sum_of_products_equals_the_sum_of_reference_products(field):
+    rng = random.Random(37)
+    for _ in range(60):
+        pairs = []
+        for _ in range(rng.randint(1, 5)):
+            p, q = mixed_rational_poly(rng, nterms=4), mixed_rational_poly(rng, nterms=3)
+            if field != Q:
+                p, q = (SparsePoly(field, {m: field.from_int(c.numerator * c.denominator) for m, c in r.terms.items()}) for r in (p, q))
+            pairs.append((p, q))
+        want = SparsePoly.zero(field)
+        for p, q in pairs:
+            want = want.add(mul_reference(p, q))
+        got = sum_of_products(field, pairs)
+        assert got == want, pairs
+        assert field.zero() not in got.terms.values()
+    with pytest.raises(StructureError, match="mixed fields"):
+        sum_of_products(Q, [(x(1), x(2)), (x(1), x(2, prime_field(7)))])
+
+
+def test_mul_refuses_an_over_budget_product_before_any_work(monkeypatch):
+    p = SparsePoly(Q, {((i, 1),): Fraction(1, i) for i in range(1, 5)})
+    q = SparsePoly(Q, {((i, 1),): Fraction(i, 7) for i in range(5, 8)})
+
+    def no_work(*args):
+        raise AssertionError("product work before the budget check")
+
+    F7 = prime_field(7)
+    p7 = SparsePoly(F7, {m: F7.from_int(i) for i, m in enumerate(p.terms, 1)})
+    q7 = SparsePoly(F7, {m: F7.from_int(i) for i, m in enumerate(q.terms, 1)})
+    for field, a, b in ((Q, p, q), (F7, p7, q7)):
+        with monkeypatch.context() as m:
+            m.setattr(oabp.poly, "_cleared", no_work)
+            m.setattr(oabp.poly, "mono_mul", no_work)
+            with pytest.raises(BudgetError, match="^product of 4 x 3 terms exceeds term budget 11$"):
+                a.mul(b, budget=11)
+        assert a.mul(b, budget=12) == mul_reference(a, b), field
 
 
 def test_evaluate_requires_all_variables():

@@ -26,6 +26,7 @@ from oabp.corpus import cancel_pair, odd_variable_corpus, standard_corpus
 from oabp.errors import StructureError
 from oabp.families import elementary_symmetric_abp, ryser_permanent_abp
 from oabp.fields import rationals
+from oabp.linalg import SpanBuilder
 from oabp.poly import SparsePoly
 from oabp.serialize import abp_dumps
 from oabp.transforms import (
@@ -393,6 +394,22 @@ def test_reduce_rejects_zero_sum():
     for left, right in (([], []), ([x1], []), ([x1], [x1, x1])):
         with pytest.raises(StructureError, match="nonempty and aligned"):
             reduce_independent(Decomposition(left, right, cut_level=1))
+
+
+def test_reduce_refuses_a_reduction_that_changes_the_polynomial(monkeypatch):
+    # the final identity check is a fault check: a span whose combinations
+    # are one off must make reduce_independent refuse, not return
+    class OneOff(SpanBuilder):
+        def insert(self, vec, tag):
+            combo = super().insert(vec, tag)
+            return combo and {t: c + 1 for t, c in combo.items()}
+
+    x1, x2 = SparsePoly.variable(Q, 1), SparsePoly.variable(Q, 2)
+    dec = Decomposition([x1, x1.scale(Fraction(2, 3))], [x2, x2.scale(Fraction(-1, 5))])
+    assert reduce_independent(dec).width == 1
+    monkeypatch.setattr(oabp.transforms, "SpanBuilder", OneOff)
+    with pytest.raises(StructureError, match="^reduction changed the represented polynomial$"):
+        reduce_independent(dec)
 
 
 # -- edge order -----------------------------------------------------------------
